@@ -8,7 +8,9 @@ use std::path::{Path, PathBuf};
 
 /// The docs we own (external-content digests like PAPER.md / PAPERS.md /
 /// SNIPPETS.md quote paths from other repositories and are exempt, as is
-/// the per-PR ISSUE.md task file).
+/// the per-PR ISSUE.md task file). `tests/doc_links.rs` link-checks these
+/// files, so a file an item proposes to create is named in prose, and a
+/// code span or link is used only for files that exist.
 const DOCS: &[&str] = &[
     "README.md",
     "ROADMAP.md",
@@ -32,13 +34,15 @@ fn is_path_like(span: &str) -> bool {
         && !span.starts_with('/')
 }
 
-/// Extracts candidate file references: inline-code spans plus markdown
-/// link targets (`[text](target)`, skipping URLs and pure anchors).
-fn candidates(text: &str) -> Vec<String> {
+/// Extracts candidate file references, each with its 1-based source line:
+/// inline-code spans plus markdown link targets (`[text](target)`, skipping
+/// URLs and pure anchors).
+fn candidates(text: &str) -> Vec<(usize, String)> {
     let mut out = Vec::new();
-    for line in text.lines() {
+    for (index, line) in text.lines().enumerate() {
+        let line_no = index + 1;
         // Backtick spans. Fenced code blocks are command transcripts, not
-        // references; they are stripped before this function runs.
+        // references; they are blanked before this function runs.
         let mut rest = line;
         while let Some(start) = rest.find('`') {
             let Some(len) = rest[start + 1..].find('`') else {
@@ -46,7 +50,7 @@ fn candidates(text: &str) -> Vec<String> {
             };
             let span = &rest[start + 1..start + 1 + len];
             if is_path_like(span) {
-                out.push(span.to_owned());
+                out.push((line_no, span.to_owned()));
             }
             rest = &rest[start + 1 + len + 1..];
         }
@@ -61,7 +65,7 @@ fn candidates(text: &str) -> Vec<String> {
                 && !target.starts_with("mailto:")
                 && !target.starts_with('/')
             {
-                out.push(target.to_owned());
+                out.push((line_no, target.to_owned()));
             }
             rest = &tail[end..];
         }
@@ -84,21 +88,21 @@ fn first_party_docs_reference_only_existing_files() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{doc} must exist and be readable: {e}"));
         let doc_dir = path.parent().unwrap().to_path_buf();
+        // Fenced lines are blanked rather than dropped so that line
+        // numbers in the report match the source.
         let mut in_fence = false;
         let mut filtered = String::new();
         for line in text.lines() {
             if line.trim_start().starts_with("```") {
                 in_fence = !in_fence;
-                continue;
-            }
-            if !in_fence {
+            } else if !in_fence {
                 filtered.push_str(line);
-                filtered.push('\n');
             }
+            filtered.push('\n');
         }
-        for reference in candidates(&filtered) {
+        for (line_no, reference) in candidates(&filtered) {
             if !resolves(&root, &doc_dir, &reference) {
-                broken.push(format!("{doc}: `{reference}`"));
+                broken.push(format!("{doc}:{line_no}: `{reference}`"));
             }
         }
     }
@@ -111,8 +115,10 @@ fn first_party_docs_reference_only_existing_files() {
 
 #[test]
 fn path_matcher_spots_missing_and_accepts_real_files() {
-    // The matcher itself must flag the historical offender...
+    // The matcher itself must flag the historical offenders (an artifact
+    // never committed, a baseline a ROADMAP item only proposes)...
     assert!(is_path_like("bench_output.txt"));
+    assert!(is_path_like("BENCH_baseline.json"));
     // ...accept the real artifacts docs point at...
     assert!(is_path_like("results/figures_quick.txt"));
     assert!(is_path_like("tests/fault_injection.rs"));
@@ -124,4 +130,5 @@ fn path_matcher_spots_missing_and_accepts_real_files() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     assert!(resolves(&root, &root, "results/figures_quick.txt"));
     assert!(!resolves(&root, &root, "bench_output.txt"));
+    assert!(!resolves(&root, &root, "BENCH_baseline.json"));
 }
