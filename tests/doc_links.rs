@@ -7,8 +7,8 @@
 use std::path::{Path, PathBuf};
 
 /// The docs we own (external-content digests like PAPER.md / PAPERS.md /
-/// SNIPPETS.md quote paths from other repositories and are exempt, as is
-/// the per-PR ISSUE.md task file). `tests/doc_links.rs` link-checks these
+/// SNIPPETS.md quote paths from other repositories and are exempt).
+/// `tests/doc_links.rs` link-checks these
 /// files, so a file an item proposes to create is named in prose, and a
 /// code span or link is used only for files that exist.
 const DOCS: &[&str] = &[
