@@ -1,7 +1,8 @@
 //! Microbench: the per-cycle cost of the engine's hottest component
 //! ticks — a saturated concentrator mux, a lone saturated sender (the
-//! fig 3/8 covert-channel shape), a saturated crossbar, and an L2 slice
-//! streaming misses through its DRAM controller. These are the paths
+//! fig 3/8 covert-channel shape), a saturated crossbar, an L2 slice
+//! streaming misses through its DRAM controller, and L2 reply ports
+//! backed up behind one saturated GPC reply channel. These are the paths
 //! the event-calendar engine pays on every *processed* cycle, so their
 //! cost bounds the simulator's throughput once fast-forwarding has
 //! removed the dead cycles.
@@ -11,7 +12,9 @@
 //! measure the exact same workloads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gnc_bench::micro::{crossbar_spread, l2_miss_stream, mux_lone_sender, mux_saturated};
+use gnc_bench::micro::{
+    crossbar_spread, l2_miss_stream, mux_lone_sender, mux_saturated, reply_port_blocked,
+};
 use gnc_common::GpuConfig;
 use gnc_sim::gpu::Gpu;
 
@@ -58,6 +61,9 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("l2_miss_stream_10k_cycles", |b| {
         b.iter(|| l2_miss_stream(10_000));
+    });
+    group.bench_function("reply_port_blocked_10k_cycles", |b| {
+        b.iter(|| reply_port_blocked(10_000));
     });
     group.finish();
 }

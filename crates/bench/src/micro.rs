@@ -1,7 +1,8 @@
 //! Per-cycle microbenchmarks of the engine's hottest component loops —
 //! a saturated 2:1 mux, a lone saturated sender (the fig 3/8
-//! covert-channel shape), a 6×8 crossbar with spread traffic, and an
-//! L2 slice streaming misses — shared between the Criterion benches
+//! covert-channel shape), a 6×8 crossbar with spread traffic, an L2
+//! slice streaming misses, and the L2 reply ports backed up behind one
+//! saturated GPC reply channel — shared between the Criterion benches
 //! (`benches/engine_hot_paths.rs`), the CLI's bench reports, and CI's
 //! perf-smoke gate.
 //!
@@ -13,10 +14,13 @@
 
 use gnc_common::config::{Arbitration, NocConfig};
 use gnc_common::ids::{SliceId, SmId, WarpId};
+use gnc_common::telemetry::NullProbe;
 use gnc_common::GpuConfig;
 use gnc_mem::dram::DramController;
 use gnc_mem::l2::L2Slice;
+use gnc_mem::subsystem::MemorySubsystem;
 use gnc_noc::crossbar::Crossbar;
+use gnc_noc::fabric::ReplyFabric;
 use gnc_noc::mux::ConcentratorMux;
 use gnc_noc::packet::{Packet, PacketId, PacketKind};
 use serde::Serialize;
@@ -144,6 +148,53 @@ pub fn l2_miss_stream(cycles: u64) -> u64 {
     replies
 }
 
+/// The GPC-channel receiver shape (the `hardened_send` benchmark
+/// workload): the SMs of GPC0 keep preloaded reads outstanding on all
+/// 48 slices, more than GPC0's reply-channel inputs can hold, so that
+/// 3 flit/cycle channel stays saturated and replies back up at every
+/// slice's reply port. Nearly every slice's reply-inject drain then
+/// finds its GPC0 input full and injects nothing — the blocked-drain
+/// path. Returns replies delivered to the SMs.
+pub fn reply_port_blocked(cycles: u64) -> u64 {
+    let cfg = GpuConfig::volta_v100();
+    let mut mem = MemorySubsystem::new(&cfg);
+    let mut fabric = ReplyFabric::new(&cfg);
+    let readers: Vec<SmId> = (0..cfg.num_sms())
+        .map(SmId::new)
+        .filter(|&sm| cfg.gpc_of_sm(sm).index() == 0)
+        .collect();
+    let slices = cfg.mem.num_l2_slices as u64;
+    let lines = 8 * slices;
+    mem.preload_range(0, lines);
+    // Three times what the GPC0 reply mux's 48 slice inputs hold: in
+    // steady state each slice port holds about ten blocked replies, the
+    // backlog the GPC-channel benchmark workload builds.
+    let max_outstanding = 3 * slices * cfg.noc.input_queue_depth as u64;
+    let mut next = 0u64;
+    let mut delivered = 0u64;
+    for now in 0..cycles {
+        for &sm in &readers {
+            if next - delivered >= max_outstanding {
+                break;
+            }
+            let addr = (next % lines) * 128;
+            let p = Packet {
+                sm,
+                slice: mem.address_map().slice_of(addr),
+                addr,
+                ..packet(next, sm.index(), 0, PacketKind::ReadRequest, now)
+            };
+            mem.push_request(p, now);
+            next += 1;
+        }
+        mem.tick(now);
+        mem.drain_replies_probed(&mut fabric, &mut NullProbe);
+        fabric.tick(now);
+        fabric.deliver_ready(now, |_, _| delivered += 1);
+    }
+    delivered
+}
+
 /// Best-observed ns/cycle for the three hot loops. Serialized into
 /// bench reports so BENCH files are self-describing.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -208,6 +259,7 @@ mod tests {
         assert_eq!(mux_lone_sender(1000), 499);
         assert_eq!(crossbar_spread(1000), 5988);
         assert_eq!(l2_miss_stream(1000), 100);
+        assert_eq!(reply_port_blocked(1000), 1215);
     }
 
     #[test]

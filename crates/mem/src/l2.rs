@@ -11,12 +11,13 @@
 use crate::address::AddressMap;
 use crate::dram::DramController;
 use gnc_common::hash::FastHashMap;
-use gnc_common::ids::SliceId;
+use gnc_common::ids::{GpcId, SliceId, SmId};
 use gnc_common::telemetry::{NullProbe, Probe};
 use gnc_common::{Cycle, GpuConfig};
 use gnc_noc::delay::DelayLine;
 use gnc_noc::event::NextEvent;
 use gnc_noc::packet::{Packet, PacketKind};
+use gnc_noc::OccupancyMask;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -73,7 +74,18 @@ pub struct L2Slice {
     /// same-line merges reuse buffers instead of allocating per miss.
     waiter_pool: Vec<Vec<Packet>>,
     pending_fills: BinaryHeap<Reverse<(Cycle, u64)>>,
-    replies: VecDeque<Packet>,
+    /// Ready replies at the port, one FIFO (virtual channel) per
+    /// destination GPC. Each entry carries its port-wide arrival
+    /// sequence number, so the oldest reply is the lowest-sequence head.
+    reply_vcs: Vec<VecDeque<(u64, Packet)>>,
+    /// Bit `g` set iff `reply_vcs[g]` is non-empty.
+    reply_vc_mask: OccupancyMask,
+    /// Sequence number of the next reply to arrive.
+    reply_seq: u64,
+    /// Replies queued over all virtual channels.
+    reply_len: usize,
+    /// Destination GPC of each SM's replies (reply VC routing).
+    gpc_of_sm: Vec<GpcId>,
     stats: L2Stats,
     /// Optional fault injection: hot-spot windows during which this
     /// slice's lookup stage stalls (a co-tenant hammering the slice).
@@ -97,7 +109,13 @@ impl L2Slice {
             mshr_capacity: cfg.mem.l2_mshrs,
             waiter_pool: Vec::new(),
             pending_fills: BinaryHeap::new(),
-            replies: VecDeque::new(),
+            reply_vcs: (0..cfg.num_gpcs).map(|_| VecDeque::new()).collect(),
+            reply_vc_mask: OccupancyMask::new(cfg.num_gpcs),
+            reply_seq: 0,
+            reply_len: 0,
+            gpc_of_sm: (0..cfg.num_sms())
+                .map(|s| cfg.gpc_of_sm(SmId::new(s)))
+                .collect(),
             stats: L2Stats::default(),
             fault: None,
         }
@@ -260,11 +278,11 @@ impl L2Slice {
                 // request first, then merges in arrival order.
                 let write = waiters.first.kind == PacketKind::WriteRequest;
                 self.touch_hit(waiters.first.addr, write);
-                self.replies.push_back(waiters.first.to_reply(now));
+                self.push_reply(waiters.first.to_reply(now));
                 for req in waiters.rest.drain(..) {
                     let write = req.kind == PacketKind::WriteRequest;
                     self.touch_hit(req.addr, write);
-                    self.replies.push_back(req.to_reply(now));
+                    self.push_reply(req.to_reply(now));
                 }
                 if waiters.rest.capacity() > 0 {
                     self.waiter_pool.push(waiters.rest);
@@ -313,7 +331,7 @@ impl L2Slice {
         if self.touch_hit(req.addr, write) {
             self.stats.hits += 1;
             probe.l2_access(now, self.id.index(), true);
-            self.replies.push_back(req.to_reply(now));
+            self.push_reply(req.to_reply(now));
             return;
         }
         if self.mshrs.len() >= self.mshr_capacity {
@@ -339,27 +357,72 @@ impl L2Slice {
         self.pending_fills.push(Reverse((acc.done, line)));
     }
 
+    /// Queues a ready reply on its destination GPC's virtual channel.
+    fn push_reply(&mut self, reply: Packet) {
+        let g = self.gpc_of_sm[reply.sm.index()].index();
+        if self.reply_vcs[g].is_empty() {
+            self.reply_vc_mask.set(g);
+        }
+        self.reply_vcs[g].push_back((self.reply_seq, reply));
+        self.reply_seq += 1;
+        self.reply_len += 1;
+    }
+
+    /// The virtual channel whose head is the oldest reply among the
+    /// GPCs `eligible` admits. `eligible` is only asked about channels
+    /// whose head would beat the best found so far, so it must be pure.
+    /// Head sequence numbers are read only once a second candidate
+    /// appears: the common single-channel case never touches the queue.
+    fn oldest_vc(&self, mut eligible: impl FnMut(GpcId) -> bool) -> Option<usize> {
+        let head_seq = |g: usize| self.reply_vcs[g].front().map_or(u64::MAX, |&(seq, _)| seq);
+        let mut best: Option<usize> = None;
+        for (w, &word) in self.reply_vc_mask.words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let g = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if best.is_some_and(|b| head_seq(g) > head_seq(b)) {
+                    continue;
+                }
+                if eligible(GpcId::new(g)) {
+                    best = Some(g);
+                }
+            }
+        }
+        best
+    }
+
     /// Number of ready replies waiting at the port.
     pub fn reply_len(&self) -> usize {
-        self.replies.len()
+        self.reply_len
     }
 
-    /// A reference to the next ready reply, if any.
+    /// A reference to the oldest ready reply, if any.
     pub fn peek_reply(&self) -> Option<&Packet> {
-        self.replies.front()
+        let g = self.oldest_vc(|_| true)?;
+        self.reply_vcs[g].front().map(|(_, reply)| reply)
     }
 
-    /// Removes the next ready reply.
+    /// Removes the oldest ready reply (whole-port arrival order).
     pub fn pop_reply(&mut self) -> Option<Packet> {
-        self.replies.pop_front()
+        self.pop_reply_for(|_| true)
     }
 
-    /// Removes the first ready reply satisfying `injectable` (per-
-    /// destination virtual channels at the reply port; see
-    /// `MemorySubsystem::pop_reply_where`).
-    pub fn pop_reply_where(&mut self, injectable: impl Fn(&Packet) -> bool) -> Option<Packet> {
-        let idx = self.replies.iter().position(injectable)?;
-        self.replies.remove(idx)
+    /// Removes the oldest ready reply whose destination GPC `has_room`
+    /// admits. The port keeps a virtual channel per destination GPC, so
+    /// a blocked GPC never head-of-line-blocks replies bound for the
+    /// others. Because admission depends on the GPC alone, the result is
+    /// the first reply in arrival order that can be injected, found with
+    /// at most one `has_room` query per non-empty channel. `has_room`
+    /// must be pure: it may be skipped for channels that cannot win.
+    pub fn pop_reply_for(&mut self, has_room: impl FnMut(GpcId) -> bool) -> Option<Packet> {
+        let g = self.oldest_vc(has_room)?;
+        let (_, reply) = self.reply_vcs[g].pop_front()?;
+        if self.reply_vcs[g].is_empty() {
+            self.reply_vc_mask.clear(g);
+        }
+        self.reply_len -= 1;
+        Some(reply)
     }
 
     /// Counter snapshot.
@@ -370,7 +433,8 @@ impl L2Slice {
     /// Restores the slice to its just-constructed state in place: cache
     /// contents, pipeline, MSHRs, pending fills, replies, and stats all
     /// clear; any fault plan detaches. Allocations (sets, hash-map
-    /// capacity, the waiter pool) are retained for reuse.
+    /// capacity, the waiter pool, the reply VCs) and the SM → GPC reply
+    /// routing table are retained for reuse.
     pub fn reset(&mut self) {
         for set in &mut self.sets {
             set.clear();
@@ -380,7 +444,12 @@ impl L2Slice {
         self.stalled = None;
         self.mshrs.clear();
         self.pending_fills.clear();
-        self.replies.clear();
+        for vc in &mut self.reply_vcs {
+            vc.clear();
+        }
+        self.reply_vc_mask.clear_all();
+        self.reply_seq = 0;
+        self.reply_len = 0;
         self.stats = L2Stats::default();
         self.fault = None;
     }
@@ -391,7 +460,7 @@ impl L2Slice {
             && self.stalled.is_none()
             && self.mshrs.is_empty()
             && self.pending_fills.is_empty()
-            && self.replies.is_empty()
+            && self.reply_len == 0
     }
 
     /// Whether skipping this slice's [`tick`](Self::tick) at the current
@@ -431,7 +500,7 @@ impl L2Slice {
     /// place, so its ready cycle stays in the past and the slice keeps
     /// reporting it until the lookup finally issues.
     pub fn next_event(&self) -> NextEvent {
-        if !self.replies.is_empty() || self.stalled.is_some() {
+        if self.reply_len != 0 || self.stalled.is_some() {
             return NextEvent::Busy;
         }
         let pipeline = match self.pipeline.next_ready_cycle() {

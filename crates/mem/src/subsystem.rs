@@ -8,7 +8,7 @@
 use crate::address::AddressMap;
 use crate::dram::DramController;
 use crate::l2::{L2Slice, L2Stats};
-use gnc_common::ids::SliceId;
+use gnc_common::ids::{GpcId, SliceId};
 use gnc_common::telemetry::{NullProbe, Probe};
 use gnc_common::{Cycle, GpuConfig};
 use gnc_noc::event::{ComponentId, EventCalendar, NextEvent, Wake};
@@ -174,34 +174,27 @@ impl MemorySubsystem {
         self.reply_counts[slice.index()] > 0
     }
 
-    /// A reference to the next reply waiting at `slice`.
+    /// A reference to the oldest reply waiting at `slice`.
     pub fn peek_reply(&self, slice: SliceId) -> Option<&Packet> {
         self.slices[slice.index()].peek_reply()
     }
 
-    /// Removes the next reply waiting at `slice`.
+    /// Removes the oldest reply waiting at `slice`.
     pub fn pop_reply(&mut self, slice: SliceId) -> Option<Packet> {
-        let popped = self.slices[slice.index()].pop_reply();
-        if popped.is_some() {
-            self.reply_counts[slice.index()] -= 1;
-            self.total_replies -= 1;
-            if self.reply_counts[slice.index()] == 0 {
-                self.reply_mask.clear(slice.index());
-            }
-        }
-        popped
+        self.pop_reply_for(slice, |_| true)
     }
 
-    /// Removes the first reply at `slice` for which `injectable` returns
-    /// true, skipping over blocked heads — the slice's reply port keeps a
-    /// virtual channel per destination GPC, so one congested GPC must not
-    /// head-of-line-block replies bound for the others.
-    pub fn pop_reply_where(
+    /// Removes the oldest reply at `slice` whose destination GPC
+    /// `has_room` admits (see [`L2Slice::pop_reply_for`]): the slice's
+    /// reply port keeps a virtual channel per destination GPC, so one
+    /// congested GPC must not head-of-line-block replies bound for the
+    /// others.
+    pub fn pop_reply_for(
         &mut self,
         slice: SliceId,
-        injectable: impl Fn(&Packet) -> bool,
+        has_room: impl FnMut(GpcId) -> bool,
     ) -> Option<Packet> {
-        let popped = self.slices[slice.index()].pop_reply_where(injectable);
+        let popped = self.slices[slice.index()].pop_reply_for(has_room);
         if popped.is_some() {
             self.reply_counts[slice.index()] -= 1;
             self.total_replies -= 1;
@@ -216,8 +209,10 @@ impl MemorySubsystem {
     /// slice by slice in id order — the engine's reply-inject phase,
     /// batched here so quiet machines skip it with one counter read.
     /// Within a slice the reply port keeps a virtual channel per
-    /// destination GPC (see [`pop_reply_where`](Self::pop_reply_where)):
-    /// one congested GPC must not head-of-line-block the others.
+    /// destination GPC (see [`pop_reply_for`](Self::pop_reply_for)): one
+    /// congested GPC must not head-of-line-block the others, and a
+    /// blocked slice costs one room query per non-empty channel rather
+    /// than one per queued reply.
     pub fn drain_replies_probed<P: Probe>(&mut self, fabric: &mut ReplyFabric, probe: &mut P) {
         if self.total_replies == 0 {
             return;
@@ -231,16 +226,11 @@ impl MemorySubsystem {
                 bits &= bits - 1;
                 let slice_id = SliceId::new(s);
                 while let Some(p) =
-                    self.slices[s].pop_reply_where(|p| fabric.can_inject(slice_id, p.sm))
+                    self.pop_reply_for(slice_id, |gpc| fabric.has_room(slice_id, gpc))
                 {
-                    self.reply_counts[s] -= 1;
-                    self.total_replies -= 1;
-                    if self.reply_counts[s] == 0 {
-                        self.reply_mask.clear(s);
-                    }
                     fabric
                         .inject_at_slice_probed(slice_id, p, probe)
-                        .expect("injectability just checked");
+                        .expect("room just checked");
                 }
             }
         }

@@ -475,9 +475,12 @@ impl ReplyFabric {
         }
     }
 
-    /// Whether `slice` can inject a reply destined for `sm`'s GPC.
-    pub fn can_inject(&self, slice: SliceId, sm: SmId) -> bool {
-        self.gpc_muxes[self.gpc_of_sm[sm.index()].index()].can_accept(slice.index())
+    /// Whether `slice`'s input to `gpc`'s reply channel has room, i.e.
+    /// whether `slice` can inject a reply destined for any SM of `gpc`.
+    /// Room depends on the (slice, GPC) pair alone, which is what lets
+    /// the slice's reply port keep one virtual channel per GPC.
+    pub fn has_room(&self, slice: SliceId, gpc: GpcId) -> bool {
+        self.gpc_muxes[gpc.index()].can_accept(slice.index())
     }
 
     /// Injects a reply packet at `slice`.

@@ -20,7 +20,7 @@ use gnc_noc::event::{ComponentId, EventCalendar, NextEvent, Wake};
 use gnc_noc::fabric::{ReplyFabric, RequestFabric};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// GPUs constructed process-wide (the bench harness's trial counter).
 static GPUS_BUILT: AtomicU64 = AtomicU64::new(0);
@@ -43,9 +43,6 @@ pub fn gpus_reset() -> u64 {
     GPUS_RESET.load(Ordering::Relaxed)
 }
 
-/// Process-wide default for [`LoopMode`]; `true` selects `Naive`.
-static DEFAULT_NAIVE_LOOP: AtomicBool = AtomicBool::new(false);
-
 /// [`EventCalendar`] component ids used by the engine. The lifecycle,
 /// the two subnets, and the memory system are coarse components; every
 /// SM schedules individually (replies wake exactly one SM, and in a
@@ -65,12 +62,6 @@ pub enum LoopMode {
     FastForward,
     /// Tick every cycle (the reference engine).
     Naive,
-}
-
-/// Sets the [`LoopMode`] newly constructed GPUs start in. Existing
-/// instances are unaffected; see [`Gpu::set_loop_mode`].
-pub fn set_default_loop_mode(mode: LoopMode) {
-    DEFAULT_NAIVE_LOOP.store(mode == LoopMode::Naive, Ordering::Relaxed);
 }
 
 /// Why a run loop stopped.
@@ -218,11 +209,7 @@ impl Gpu {
             recorder: Recorder::new(),
             now: 0,
             fault: None,
-            loop_mode: if DEFAULT_NAIVE_LOOP.load(Ordering::Relaxed) {
-                LoopMode::Naive
-            } else {
-                LoopMode::FastForward
-            },
+            loop_mode: LoopMode::FastForward,
             active_sms: Vec::new(),
             ticked_sms: Vec::new(),
             run_cal,
@@ -310,8 +297,8 @@ impl<P: Probe> Gpu<P> {
     /// every allocation (SM queues, fabric arenas, L2 sets, MSHR maps,
     /// calendars). Clears kernels, records, and all in-flight state;
     /// redraws the clock epochs from `clock_seed`; detaches any fault
-    /// plan; and re-reads the process-wide default [`LoopMode`], exactly
-    /// as a fresh build does. The telemetry probe is **not** touched —
+    /// plan; and returns to [`LoopMode::FastForward`], exactly as a
+    /// fresh build does. The telemetry probe is **not** touched —
     /// callers pooling probed machines reset or harvest it themselves.
     ///
     /// A reset machine is observationally identical to a fresh one: the
@@ -330,11 +317,7 @@ impl<P: Probe> Gpu<P> {
         self.recorder.reset();
         self.now = 0;
         self.fault = None;
-        self.loop_mode = if DEFAULT_NAIVE_LOOP.load(Ordering::Relaxed) {
-            LoopMode::Naive
-        } else {
-            LoopMode::FastForward
-        };
+        self.loop_mode = LoopMode::FastForward;
         self.active_sms.clear();
         self.ticked_sms.clear();
         self.run_cal.reset();

@@ -45,6 +45,6 @@ pub mod pool;
 pub mod sm;
 pub mod workloads;
 
-pub use gpu::{gpus_built, gpus_reset, set_default_loop_mode, Gpu, LoopMode, RunOutcome};
+pub use gpu::{gpus_built, gpus_reset, Gpu, LoopMode, RunOutcome};
 pub use kernel::{KernelProgram, Record, Recorder, WarpContext, WarpProgram, WarpStep};
 pub use pool::{pooled_gpu, with_pooled_gpu, GpuPool, PooledGpu};

@@ -138,11 +138,13 @@ fn l2_miss_stream_steady_state_is_allocation_free() {
             // real slice: unbounded injection would grow the lookup
             // pipeline's queue without limit, which is not a steady
             // state. Addresses stride a whole slice set apart so every
-            // access misses and allocates (then recycles) an MSHR.
+            // access misses and allocates (then recycles) an MSHR. The
+            // requesting SM cycles through all 80, so replies use every
+            // GPC's reply virtual channel.
             if next - replies < 48 {
                 let p = Packet {
                     addr: next * 128 * 48,
-                    ..packet(next, 0, 0, PacketKind::ReadRequest, now)
+                    ..packet(next, (next % 80) as usize, 0, PacketKind::ReadRequest, now)
                 };
                 slice.push_request(p, now);
                 next += 1;
