@@ -79,15 +79,6 @@ impl OnlineStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (divides by n − 1); 0 when fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Smallest sample; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -397,6 +397,12 @@ impl L2Slice {
         self.reply_len
     }
 
+    /// The destination GPCs with replies waiting: bit `g` is set iff the
+    /// port's virtual channel for GPC `g` is non-empty.
+    pub(crate) fn reply_gpcs(&self) -> &OccupancyMask {
+        &self.reply_vc_mask
+    }
+
     /// A reference to the oldest ready reply, if any.
     pub fn peek_reply(&self) -> Option<&Packet> {
         let g = self.oldest_vc(|_| true)?;
@@ -416,13 +422,22 @@ impl L2Slice {
     /// at most one `has_room` query per non-empty channel. `has_room`
     /// must be pure: it may be skipped for channels that cannot win.
     pub fn pop_reply_for(&mut self, has_room: impl FnMut(GpcId) -> bool) -> Option<Packet> {
+        self.pop_reply_vc(has_room).map(|(_, reply)| reply)
+    }
+
+    /// [`pop_reply_for`](Self::pop_reply_for), also naming the virtual
+    /// channel the reply left.
+    pub(crate) fn pop_reply_vc(
+        &mut self,
+        has_room: impl FnMut(GpcId) -> bool,
+    ) -> Option<(GpcId, Packet)> {
         let g = self.oldest_vc(has_room)?;
         let (_, reply) = self.reply_vcs[g].pop_front()?;
         if self.reply_vcs[g].is_empty() {
             self.reply_vc_mask.clear(g);
         }
         self.reply_len -= 1;
-        Some(reply)
+        Some((GpcId::new(g), reply))
     }
 
     /// Counter snapshot.
@@ -461,15 +476,6 @@ impl L2Slice {
             && self.mshrs.is_empty()
             && self.pending_fills.is_empty()
             && self.reply_len == 0
-    }
-
-    /// Whether skipping this slice's [`tick`](Self::tick) at the current
-    /// cycle would be observable. A drained slice ticks to a no-op even
-    /// under fault injection: the hot-spot probe is only consulted when
-    /// a lookup is pending, so an empty slice has nothing a hot-spot
-    /// window could delay.
-    pub fn needs_tick(&self) -> bool {
-        !self.is_drained()
     }
 
     /// The earliest cycle at which [`tick`](Self::tick) can have an

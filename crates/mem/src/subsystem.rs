@@ -14,7 +14,6 @@ use gnc_common::{Cycle, GpuConfig};
 use gnc_noc::event::{ComponentId, EventCalendar, NextEvent, Wake};
 use gnc_noc::fabric::ReplyFabric;
 use gnc_noc::packet::Packet;
-use gnc_noc::OccupancyMask;
 
 /// All L2 slices and memory controllers of the GPU.
 #[derive(Debug)]
@@ -30,14 +29,17 @@ pub struct MemorySubsystem {
     /// visited — so it touches only slices whose tick can have an
     /// effect, without rescanning the other 47 wake cycles.
     cal: EventCalendar,
-    /// Ready replies waiting at each slice's port (dense mirror of
-    /// [`L2Slice::reply_len`], same skip-without-touching purpose).
-    reply_counts: Vec<u32>,
-    /// Bit `s` set iff `reply_counts[s] > 0`: the drain walks set bits
-    /// in slice order instead of scanning all 48 counters.
-    reply_mask: OccupancyMask,
-    /// Sum of `reply_counts`: lets the reply-drain phase and the
-    /// drained check skip the per-slice scan entirely.
+    /// One slice mask per destination GPC, word-interleaved: bit `s % 64`
+    /// of `pending[(s / 64) * num_gpcs + g]` is set iff slice `s`'s
+    /// reply virtual channel for GPC `g` is non-empty (a dense mirror of
+    /// every slice's [`L2Slice::reply_gpcs`]). The drain intersects each
+    /// word with the reply fabric's full-input masks
+    /// ([`ReplyFabric::full_words`]) to visit only slices that can
+    /// inject; interleaving keeps a word's GPC masks on one cache line.
+    pending: Vec<u64>,
+    num_gpcs: usize,
+    /// Ready replies over every slice port: lets the reply-drain phase
+    /// and the drained check skip the per-slice work entirely.
     total_replies: usize,
 }
 
@@ -56,8 +58,8 @@ impl MemorySubsystem {
             map: AddressMap::new(cfg),
             slices_per_mc: cfg.mem.num_l2_slices / cfg.mem.num_mcs,
             cal: EventCalendar::new(cfg.mem.num_l2_slices),
-            reply_counts: vec![0; cfg.mem.num_l2_slices],
-            reply_mask: OccupancyMask::new(cfg.mem.num_l2_slices),
+            pending: vec![0; cfg.mem.num_l2_slices.div_ceil(64) * cfg.num_gpcs],
+            num_gpcs: cfg.num_gpcs,
             total_replies: 0,
         }
     }
@@ -147,13 +149,17 @@ impl MemorySubsystem {
                 let slice = &mut self.slices[s];
                 let mc = s / self.slices_per_mc;
                 let dram = &mut self.drams[mc];
-                let before = self.reply_counts[s] as usize;
+                let before = slice.reply_len();
                 slice.tick_probed(now, dram, mc, probe);
                 let after = slice.reply_len();
-                self.total_replies += after - before;
-                self.reply_counts[s] = after as u32;
-                if before == 0 && after > 0 {
-                    self.reply_mask.set(s);
+                if after > before {
+                    // Ticking only appends replies: channels that just
+                    // became non-empty are among the slice's set bits.
+                    self.total_replies += after - before;
+                    let row = &mut self.pending[(s / 64) * self.num_gpcs..][..self.num_gpcs];
+                    for g in slice.reply_gpcs().iter_set() {
+                        row[g] |= 1 << (s % 64);
+                    }
                 }
                 let next = slice.next_tick();
                 self.cal.reschedule_near(
@@ -167,11 +173,6 @@ impl MemorySubsystem {
                 );
             }
         }
-    }
-
-    /// Whether `slice` has a ready reply waiting at its port.
-    pub fn has_reply(&self, slice: SliceId) -> bool {
-        self.reply_counts[slice.index()] > 0
     }
 
     /// A reference to the oldest reply waiting at `slice`.
@@ -188,39 +189,52 @@ impl MemorySubsystem {
     /// `has_room` admits (see [`L2Slice::pop_reply_for`]): the slice's
     /// reply port keeps a virtual channel per destination GPC, so one
     /// congested GPC must not head-of-line-block replies bound for the
-    /// others.
+    /// others. A pop that empties the channel for GPC `g` clears bit
+    /// `slice` of the per-GPC pending mask the reply-inject drain reads.
     pub fn pop_reply_for(
         &mut self,
         slice: SliceId,
         has_room: impl FnMut(GpcId) -> bool,
     ) -> Option<Packet> {
-        let popped = self.slices[slice.index()].pop_reply_for(has_room);
-        if popped.is_some() {
-            self.reply_counts[slice.index()] -= 1;
-            self.total_replies -= 1;
-            if self.reply_counts[slice.index()] == 0 {
-                self.reply_mask.clear(slice.index());
-            }
+        let s = slice.index();
+        let (gpc, reply) = self.slices[s].pop_reply_vc(has_room)?;
+        self.total_replies -= 1;
+        if !self.slices[s].reply_gpcs().get(gpc.index()) {
+            self.pending[(s / 64) * self.num_gpcs + gpc.index()] &= !(1 << (s % 64));
         }
-        popped
+        Some(reply)
     }
 
     /// Injects every ready reply the reply fabric will currently accept,
     /// slice by slice in id order — the engine's reply-inject phase,
     /// batched here so quiet machines skip it with one counter read.
-    /// Within a slice the reply port keeps a virtual channel per
-    /// destination GPC (see [`pop_reply_for`](Self::pop_reply_for)): one
-    /// congested GPC must not head-of-line-block the others, and a
-    /// blocked slice costs one room query per non-empty channel rather
-    /// than one per queued reply.
+    ///
+    /// Each slice's reply port keeps a virtual channel per destination
+    /// GPC (see [`pop_reply_for`](Self::pop_reply_for)), so one congested
+    /// GPC never head-of-line-blocks the others. A (slice, GPC) pair can
+    /// inject only if the channel holds a reply (the per-GPC pending
+    /// mask) and the slice's input to that GPC's reply mux has room (the
+    /// mux's full mask, [`ReplyFabric::full_words`]). Per 64-slice word
+    /// the drain forms `OR_g(pending[g] & !full[g])` and visits only
+    /// those slices, in ascending order, with the same `pop_reply_for`
+    /// loop as a visit of every slice holding replies. Skipping is
+    /// exact: a skipped slice's `pop_reply_for` would return `None`
+    /// without side effects (`has_room` is pure and a refused room query
+    /// emits no probe event), and an injection into (slice, GPC) can
+    /// fill only that slice's own input, so the word snapshot stays
+    /// exact for the slices after it.
     pub fn drain_replies_probed<P: Probe>(&mut self, fabric: &mut ReplyFabric, probe: &mut P) {
         if self.total_replies == 0 {
             return;
         }
-        for w in 0..self.reply_mask.words().len() {
-            // Snapshot one word: injections may clear bits of visited
-            // slices, never set new ones.
-            let mut bits = self.reply_mask.words()[w];
+        for w in 0..self.pending.len() / self.num_gpcs {
+            let mut bits = 0;
+            let row = &self.pending[w * self.num_gpcs..][..self.num_gpcs];
+            for (g, &pending) in row.iter().enumerate() {
+                if pending != 0 {
+                    bits |= pending & !fabric.full_words(GpcId::new(g))[w];
+                }
+            }
             while bits != 0 {
                 let s = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -238,7 +252,7 @@ impl MemorySubsystem {
 
     /// Restores the subsystem to its just-constructed state in place:
     /// every slice and controller resets (fault plans detach), the wake
-    /// calendar empties, and the reply mirrors zero. Allocations are
+    /// calendar empties, and the pending-reply masks clear. Allocations are
     /// retained for reuse.
     pub fn reset(&mut self) {
         for slice in &mut self.slices {
@@ -248,8 +262,7 @@ impl MemorySubsystem {
             dram.reset();
         }
         self.cal.reset();
-        self.reply_counts.fill(0);
-        self.reply_mask.clear_all();
+        self.pending.fill(0);
         self.total_replies = 0;
     }
 
@@ -286,7 +299,7 @@ impl MemorySubsystem {
             return false;
         }
         assert!(
-            self.slices.iter().all(L2Slice::is_drained),
+            self.slices.iter().all(L2Slice::is_drained) && self.pending.iter().all(|&w| w == 0),
             "memory wake cycles claim drained but a slice holds requests"
         );
         true

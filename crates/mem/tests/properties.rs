@@ -2,13 +2,16 @@
 
 use gnc_common::config::MemConfig;
 use gnc_common::ids::{GpcId, SliceId, SmId, WarpId};
-use gnc_common::GpuConfig;
+use gnc_common::telemetry::{Component, ComponentKind, Probe};
+use gnc_common::{Cycle, GpuConfig};
 use gnc_mem::address::AddressMap;
 use gnc_mem::dram::DramController;
 use gnc_mem::l2::L2Slice;
+use gnc_mem::subsystem::MemorySubsystem;
+use gnc_noc::fabric::ReplyFabric;
 use gnc_noc::packet::{Packet, PacketId, PacketKind};
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Slices in the reply-port equivalence test.
 const PORT_SLICES: usize = 3;
@@ -66,6 +69,161 @@ fn port_credits(bits: u64, slice: usize, num_gpcs: usize) -> Vec<u32> {
     (0..num_gpcs)
         .map(|g| [0, 0, 1, 3][((bits >> (2 * ((slice * num_gpcs + g) % 32))) & 3) as usize])
         .collect()
+}
+
+/// One probe event of the memory system or the reply fabric.
+#[derive(Debug, Clone, PartialEq)]
+enum Ev {
+    Granted(Cycle, Component, usize),
+    Forwarded(Cycle, Component, usize, u64),
+    Denied(Cycle, Component, usize),
+    Depth(Cycle, Component, usize, usize),
+    L2(Cycle, usize, bool),
+    Mshr(Cycle, usize, usize),
+    Dram(Cycle, usize, usize, Cycle, Cycle, bool),
+}
+
+/// Records every event, plus each reply injection as `(cycle, slice,
+/// packet id)`. An injection shows up as a queue-depth report of a GPC
+/// reply mux; its packet id is filled in when that mux forwards the
+/// packet, since each mux input is a FIFO.
+#[derive(Default)]
+struct Recorder {
+    now: Cycle,
+    events: Vec<Ev>,
+    injections: Vec<(Cycle, usize, Option<u64>)>,
+    /// Unforwarded injections per (GPC, slice), as `injections` indices.
+    queued: HashMap<(usize, usize), VecDeque<usize>>,
+}
+
+impl Probe for Recorder {
+    const ENABLED: bool = true;
+
+    fn flit_granted(&mut self, now: Cycle, comp: Component, input: usize) {
+        self.events.push(Ev::Granted(now, comp, input));
+    }
+
+    fn packet_forwarded(
+        &mut self,
+        now: Cycle,
+        comp: Component,
+        input: usize,
+        packet: u64,
+        _sm: usize,
+        _slice: usize,
+        _flits: u32,
+    ) {
+        self.events.push(Ev::Forwarded(now, comp, input, packet));
+        if comp.kind == ComponentKind::GpcReplyMux {
+            let at = self
+                .queued
+                .get_mut(&(comp.index, input))
+                .and_then(VecDeque::pop_front)
+                .expect("forwarded reply was injected");
+            self.injections[at].2 = Some(packet);
+        }
+    }
+
+    fn push_denied(&mut self, comp: Component, input: usize) {
+        self.events.push(Ev::Denied(self.now, comp, input));
+    }
+
+    fn queue_depth(&mut self, comp: Component, input: usize, depth: usize) {
+        self.events.push(Ev::Depth(self.now, comp, input, depth));
+        if comp.kind == ComponentKind::GpcReplyMux {
+            self.queued
+                .entry((comp.index, input))
+                .or_default()
+                .push_back(self.injections.len());
+            self.injections.push((self.now, input, None));
+        }
+    }
+
+    fn l2_access(&mut self, now: Cycle, slice: usize, hit: bool) {
+        self.events.push(Ev::L2(now, slice, hit));
+    }
+
+    fn mshr_occupancy(&mut self, slice: usize, occupied: usize) {
+        self.events.push(Ev::Mshr(self.now, slice, occupied));
+    }
+
+    fn dram_access(
+        &mut self,
+        now: Cycle,
+        mc: usize,
+        bank: usize,
+        start: Cycle,
+        done: Cycle,
+        row_hit: bool,
+    ) {
+        self.events
+            .push(Ev::Dram(now, mc, bank, start, done, row_hit));
+    }
+}
+
+/// A memory system, its reply fabric and their recorded history.
+struct Machine {
+    mem: MemorySubsystem,
+    fabric: ReplyFabric,
+    probe: Recorder,
+    /// Replies popped at the SMs: `(cycle, sm, packet id)`.
+    delivered: Vec<(Cycle, usize, u64)>,
+}
+
+impl Machine {
+    fn new(cfg: &GpuConfig, warm_lines: u64) -> Self {
+        let mut mem = MemorySubsystem::new(cfg);
+        mem.preload_range(0, warm_lines);
+        Self {
+            mem,
+            fabric: ReplyFabric::new(cfg),
+            probe: Recorder::default(),
+            delivered: Vec::new(),
+        }
+    }
+
+    /// One cycle in engine phase order: requests arrive, the memory
+    /// system ticks, ready replies are drained into the reply fabric
+    /// (by the subsystem's drain, or by `reference_drain`), and the
+    /// fabric moves and delivers only when `tick_fabric` is set.
+    fn cycle(&mut self, now: Cycle, requests: &[Packet], reference: bool, tick_fabric: bool) {
+        self.probe.now = now;
+        for p in requests {
+            self.mem.push_request(p.clone(), now);
+        }
+        self.mem.tick_probed(now, &mut self.probe);
+        if reference {
+            reference_drain(&mut self.mem, &mut self.fabric, &mut self.probe);
+        } else {
+            self.mem
+                .drain_replies_probed(&mut self.fabric, &mut self.probe);
+        }
+        if tick_fabric && self.fabric.in_flight() > 0 {
+            self.fabric.tick_probed(now, &mut self.probe);
+            let delivered = &mut self.delivered;
+            self.fabric
+                .deliver_ready(now, |sm, p| delivered.push((now, sm, p.id.0)));
+        }
+    }
+
+    fn is_drained(&self) -> bool {
+        self.mem.is_drained() && self.fabric.is_drained()
+    }
+}
+
+/// The reply-inject drain without its skip masks: every slice, in
+/// ascending order, pops and injects while the fabric has room for the
+/// oldest reply of some non-empty virtual channel. `pop_reply_for`
+/// returns `None` at an empty port.
+fn reference_drain(mem: &mut MemorySubsystem, fabric: &mut ReplyFabric, probe: &mut Recorder) {
+    for s in 0..mem.num_slices() {
+        let slice = SliceId::new(s);
+        while let Some(p) = mem.pop_reply_for(slice, |gpc| fabric.has_room(slice, gpc)) {
+            fabric
+                .inject_at_slice_probed(slice, p, probe)
+                .expect("room just checked");
+        }
+    }
 }
 
 proptest! {
@@ -281,5 +439,99 @@ proptest! {
             prop_assert_eq!(port.slice.stats().misses, 0, "arrival order assumes hits only");
             prop_assert!(port.slice.is_drained());
         }
+    }
+
+    /// The masked reply-inject drain (per-GPC pending masks against the
+    /// reply muxes' full masks) injects exactly what a visit of every
+    /// slice injects: the same `(cycle, slice, packet id)` sequence, the
+    /// same probe event stream and the same deliveries at the SMs. The
+    /// traffic is reads from random SMs of every GPC, hits and misses,
+    /// with bursts from one GPC's SMs and cycles on which the reply
+    /// fabric is not ticked, so reply-mux inputs stay full for many
+    /// cycles; queue depths 1-3 make full inputs common. `wide` gives 96
+    /// slices, which `GpuConfig::validate` accepts, so the masks span
+    /// two words.
+    #[test]
+    fn masked_reply_drain_matches_visiting_every_slice(
+        wide in any::<bool>(),
+        depth in 1usize..4,
+        schedule in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..80, any::<u16>(), any::<bool>()), 0..4),
+                (0u8..100, 0usize..6, 4usize..40),
+                0u8..4,
+            ),
+            1..200,
+        ),
+    ) {
+        let mut cfg = GpuConfig::volta_v100();
+        cfg.noc.input_queue_depth = depth;
+        if wide {
+            cfg.mem.num_l2_slices = 96;
+        }
+        prop_assert!(cfg.validate().is_ok());
+        let slices = cfg.mem.num_l2_slices as u64;
+        let line = cfg.mem.line_bytes as u64;
+        // Half the lines a request may touch are warm (hits), the rest
+        // go to DRAM.
+        let warm_lines = 4 * slices;
+        let sms_of_gpc: Vec<Vec<usize>> = (0..cfg.num_gpcs)
+            .map(|g| {
+                (0..cfg.num_sms())
+                    .filter(|&s| cfg.gpc_of_sm(SmId::new(s)) == GpcId::new(g))
+                    .collect()
+            })
+            .collect();
+        let mut masked = Machine::new(&cfg, warm_lines);
+        let mut reference = Machine::new(&cfg, warm_lines);
+        let map = masked.mem.address_map().clone();
+        let mut next_id = 0u64;
+        let mut read = |sm: usize, pick: u64, big: bool, now: Cycle| {
+            let addr = (pick % (2 * warm_lines)) * line;
+            next_id += 1;
+            Packet {
+                id: PacketId(next_id),
+                kind: PacketKind::ReadRequest,
+                sm: SmId::new(sm),
+                warp: WarpId::new(0),
+                slice: map.slice_of(addr),
+                addr,
+                data_bytes: if big { 128 } else { 4 },
+                injected_at: now,
+                group: next_id,
+            }
+        };
+        let mut now = 0;
+        for (arrivals, burst, skip) in &schedule {
+            let mut requests: Vec<Packet> = arrivals
+                .iter()
+                .map(|&(sm, pick, big)| read(sm, u64::from(pick), big, now))
+                .collect();
+            // A burst in about one cycle of seven.
+            if let &(0..=14, g, n) = burst {
+                let sms = &sms_of_gpc[g];
+                for k in 0..n {
+                    // Few distinct slices, so one GPC's inputs at them
+                    // fill and stay full.
+                    let pick = (now + k as u64 * 7) % 12;
+                    requests.push(read(sms[k % sms.len()], pick, true, now));
+                }
+            }
+            let tick_fabric = *skip != 0;
+            masked.cycle(now, &requests, false, tick_fabric);
+            reference.cycle(now, &requests, true, tick_fabric);
+            now += 1;
+        }
+        while !(masked.is_drained() && reference.is_drained()) {
+            masked.cycle(now, &[], false, true);
+            reference.cycle(now, &[], true, true);
+            now += 1;
+            prop_assert!(now < 1_000_000, "machines never drained");
+        }
+        prop_assert!(masked.probe.injections.iter().all(|i| i.2.is_some()));
+        prop_assert_eq!(masked.probe.injections.len() as u64, next_id);
+        prop_assert_eq!(&masked.probe.injections, &reference.probe.injections);
+        prop_assert_eq!(&masked.delivered, &reference.delivered);
+        prop_assert!(masked.probe.events == reference.probe.events, "probe event streams diverged");
     }
 }

@@ -135,11 +135,6 @@ impl Crossbar {
         }
     }
 
-    /// Whether any packet is queued at or in flight toward `output`.
-    pub fn output_busy(&self, output: usize) -> bool {
-        self.busy[output] > 0
-    }
-
     /// Removes the next packet delivered at `output`, if ready at `now`.
     #[inline]
     pub fn pop_delivered(&mut self, output: usize, now: Cycle) -> Option<Packet> {

@@ -258,12 +258,6 @@ impl RequestFabric {
         }
     }
 
-    /// Whether any packet is queued at or in flight toward `slice`'s
-    /// crossbar output (cheap gate for the arrival-drain loop).
-    pub fn has_arrivals(&self, slice: SliceId) -> bool {
-        self.xbar.output_busy(slice.index())
-    }
-
     /// Removes the next request arriving at `slice`, if ready at `now`.
     pub fn pop_at_slice(&mut self, slice: SliceId, now: Cycle) -> Option<Packet> {
         let popped = self.xbar.pop_delivered(slice.index(), now);
@@ -481,6 +475,16 @@ impl ReplyFabric {
     /// the slice's reply port keep one virtual channel per GPC.
     pub fn has_room(&self, slice: SliceId, gpc: GpcId) -> bool {
         self.gpc_muxes[gpc.index()].can_accept(slice.index())
+    }
+
+    /// The slices whose input to `gpc`'s reply channel is full, one bit
+    /// per slice in [`OccupancyMask`] word layout (see
+    /// [`ConcentratorMux::full_inputs`]). A set bit stays set until that
+    /// channel grants the slice's head reply, so the reply-inject drain
+    /// can skip the (slice, GPC) pair without asking [`has_room`]
+    /// (Self::has_room) every cycle.
+    pub fn full_words(&self, gpc: GpcId) -> &[u64] {
+        self.gpc_muxes[gpc.index()].full_inputs().words()
     }
 
     /// Injects a reply packet at `slice`.

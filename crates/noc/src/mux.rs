@@ -61,6 +61,10 @@ pub struct ConcentratorMux {
     arena: PacketArena,
     /// Which inputs have a head flit ready to arbitrate.
     occ: OccupancyMask,
+    /// Which inputs are at depth (bit `i` set iff `!can_accept(i)`). A
+    /// full input stays full until arbitration completes its head, so
+    /// upstream stages can skip it without asking again every cycle.
+    full: OccupancyMask,
     /// Flits left to transmit for each input's head packet. Only indices
     /// whose occupancy bit is set are meaningful.
     head_remaining: Vec<u32>,
@@ -135,6 +139,7 @@ impl ConcentratorMux {
             arbiter: InlineArbiter::new(policy),
             arena: PacketArena::new(),
             occ: OccupancyMask::new(n_inputs),
+            full: OccupancyMask::new(n_inputs),
             head_remaining: vec![0; n_inputs],
             head_age: vec![0; n_inputs],
             head_group: vec![0; n_inputs],
@@ -207,6 +212,15 @@ impl ConcentratorMux {
         self.inputs.can_accept(input)
     }
 
+    /// The inputs that are at depth: bit `i` is set iff
+    /// [`can_accept(i)`](Self::can_accept) is false. A push that fills an
+    /// input sets its bit; only arbitration completing that input's head
+    /// (or [`reset`](Self::reset)) clears it.
+    #[inline]
+    pub fn full_inputs(&self) -> &OccupancyMask {
+        &self.full
+    }
+
     /// Queues `packet` at `input`.
     ///
     /// # Errors
@@ -265,6 +279,9 @@ impl ConcentratorMux {
         }
         let slot = self.arena.insert(packet, flits);
         self.inputs.push_back(input, slot);
+        if !self.inputs.can_accept(input) {
+            self.full.set(input);
+        }
         self.queued += 1;
         probe.queue_depth(comp, input, self.inputs.len(input));
         Ok(())
@@ -423,6 +440,7 @@ impl ConcentratorMux {
         probe: &mut P,
     ) {
         let done = self.inputs.pop_front(winner);
+        self.full.clear(winner);
         if P::ENABLED {
             let packet = self.arena.get(done);
             probe.packet_forwarded(
@@ -531,6 +549,7 @@ impl ConcentratorMux {
         self.arbiter.reset();
         self.arena.clear();
         self.occ.clear_all();
+        self.full.clear_all();
         self.head_remaining.fill(0);
         self.head_age.fill(0);
         self.head_group.fill(0);
@@ -555,11 +574,6 @@ impl ConcentratorMux {
     /// Packets fully forwarded since construction.
     pub fn forwarded_packets(&self) -> u64 {
         self.forwarded_packets
-    }
-
-    /// Number of packets currently queued at `input`.
-    pub fn queue_len(&self, input: usize) -> usize {
-        self.inputs.len(input)
     }
 
     /// True when no packets are queued or in the output pipeline.

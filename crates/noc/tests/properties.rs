@@ -467,6 +467,79 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The mux's full mask mirrors backpressure exactly: after every
+    /// push, tick, delivery drain and reset, bit `i` is set iff input `i`
+    /// refuses a push. Covers all four policies, queue depths 1-4, fault-
+    /// stolen flit slots, and input counts whose mask spans two or three
+    /// words.
+    #[test]
+    fn mux_full_mask_mirrors_can_accept(
+        policy in prop::sample::select(Arbitration::ALL.to_vec()),
+        n_inputs in prop::sample::select(vec![1usize, 2, 7, 48, 64, 65, 96, 130]),
+        depth in 1usize..5,
+        bandwidth in 1u32..4,
+        fault_on in any::<bool>(),
+        ops in proptest::collection::vec((0u8..16, any::<u16>()), 1..400),
+    ) {
+        let noc = NocConfig::default();
+        let mut mux = ConcentratorMux::new(n_inputs, bandwidth, 1, depth, policy, &noc);
+        let attach_faults = |mux: &mut ConcentratorMux| {
+            if fault_on {
+                let cfg = FaultConfig {
+                    noc_burst_rate: 0.5,
+                    noc_burst_cycles: 4,
+                    noc_burst_flits: 1,
+                    ..FaultConfig::off()
+                };
+                mux.set_fault_plan(FaultPlan::new(cfg), 0xF00);
+            }
+        };
+        attach_faults(&mut mux);
+        let (mut now, mut next_id) = (0u64, 0u64);
+        for (op, arg) in ops {
+            match op {
+                // A burst of up to four pushes at one input, so inputs
+                // reach depth (and refuse) often.
+                0..=9 => {
+                    let input = usize::from(arg) % n_inputs;
+                    let kind = if arg & 0x800 == 0 {
+                        PacketKind::ReadRequest
+                    } else {
+                        PacketKind::WriteRequest
+                    };
+                    for _ in 0..=(arg >> 12) % 4 {
+                        let p = packet(next_id, input, kind, 32, now);
+                        if mux.try_push(input, p).is_ok() {
+                            next_id += 1;
+                        }
+                    }
+                }
+                10..=13 => {
+                    mux.tick(now);
+                    now += 1;
+                }
+                14 => {
+                    mux.drain_delivered(now, |_| {});
+                }
+                _ => {
+                    mux.reset();
+                    attach_faults(&mut mux);
+                }
+            }
+            let full = mux.full_inputs();
+            prop_assert_eq!(full.len(), n_inputs);
+            for i in 0..n_inputs {
+                prop_assert_eq!(full.get(i), !mux.can_accept(i), "input {} after op {}", i, op);
+            }
+            // Bits past the last input stay clear.
+            prop_assert_eq!(full.iter_set().count(), (0..n_inputs).filter(|&i| !mux.can_accept(i)).count());
+        }
+    }
+}
+
 /// The conservation checks in `is_drained` are plain `assert!`s — they
 /// must fire in release builds too, where a silently wrong in-flight
 /// counter would otherwise end a run with packets still queued. Corrupt

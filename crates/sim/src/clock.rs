@@ -109,13 +109,6 @@ impl ClockDomain {
         self.offsets.len()
     }
 
-    /// Whether a fault plan perturbs reads. Without one, reads are the
-    /// pure affine function `offset + now`, so future values (and clock
-    /// alignment times) can be predicted exactly.
-    pub fn has_fault(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// First cycle strictly after `now` at which `sm`'s read can deviate
     /// from the affine extrapolation `read(now) + (t - now)`, or `None`
     /// when it never will. On `[now, boundary)` the fault offset is

@@ -101,7 +101,6 @@ struct KernelState {
     pending_blocks: VecDeque<BlockId>,
     active_blocks: usize,
     finished_blocks: usize,
-    launch_cycle: Cycle,
     start_cycle: Option<Cycle>,
     end_cycle: Option<Cycle>,
     block_spans: Vec<BlockSpan>,
@@ -403,7 +402,6 @@ impl<P: Probe> Gpu<P> {
             pending_blocks: pending,
             active_blocks: 0,
             finished_blocks: 0,
-            launch_cycle: self.now,
             start_cycle: None,
             end_cycle: None,
             block_spans: Vec::new(),
@@ -434,12 +432,6 @@ impl<P: Probe> Gpu<P> {
     pub fn kernel_span(&self, kernel: KernelId) -> (Option<Cycle>, Option<Cycle>) {
         let k = &self.kernels[kernel.index()];
         (k.start_cycle, k.end_cycle)
-    }
-
-    /// Cycle at which `kernel` was launched (queued); placement may come
-    /// later if the stream or the SMs were busy.
-    pub fn kernel_launch_cycle(&self, kernel: KernelId) -> Cycle {
-        self.kernels[kernel.index()].launch_cycle
     }
 
     /// Placement and lifetime of each block of `kernel`, in placement
