@@ -1,8 +1,9 @@
 //! Microbench: the per-cycle cost of the engine's hottest component
 //! ticks — a saturated concentrator mux, a lone saturated sender (the
 //! fig 3/8 covert-channel shape), a saturated crossbar, an L2 slice
-//! streaming misses through its DRAM controller, and L2 reply ports
-//! backed up behind one saturated GPC reply channel. These are the paths
+//! streaming misses through its DRAM controller, L2 reply ports backed
+//! up behind one saturated GPC reply channel, and one GPC's per-SM
+//! ejection ports fed below that channel's saturation. These are the paths
 //! the event-calendar engine pays on every *processed* cycle, so their
 //! cost bounds the simulator's throughput once fast-forwarding has
 //! removed the dead cycles.
@@ -13,7 +14,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gnc_bench::micro::{
-    crossbar_spread, l2_miss_stream, mux_lone_sender, mux_saturated, reply_port_blocked,
+    crossbar_spread, l2_miss_stream, mux_lone_sender, mux_saturated, reply_ejection_fanout,
+    reply_port_blocked,
 };
 use gnc_common::GpuConfig;
 use gnc_sim::gpu::Gpu;
@@ -64,6 +66,9 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("reply_port_blocked_10k_cycles", |b| {
         b.iter(|| reply_port_blocked(10_000));
+    });
+    group.bench_function("reply_ejection_fanout_10k_cycles", |b| {
+        b.iter(|| reply_ejection_fanout(10_000));
     });
     group.finish();
 }

@@ -1,8 +1,9 @@
 //! Per-cycle microbenchmarks of the engine's hottest component loops —
 //! a saturated 2:1 mux, a lone saturated sender (the fig 3/8
 //! covert-channel shape), a 6×8 crossbar with spread traffic, an L2
-//! slice streaming misses, and the L2 reply ports backed up behind one
-//! saturated GPC reply channel — shared between the Criterion benches
+//! slice streaming misses, the L2 reply ports backed up behind one
+//! saturated GPC reply channel, and the per-SM ejection ports of one
+//! GPC fed below that channel's saturation — shared between the Criterion benches
 //! (`benches/engine_hot_paths.rs`), the CLI's bench reports, and CI's
 //! perf-smoke gate.
 //!
@@ -195,6 +196,40 @@ pub fn reply_port_blocked(cycles: u64) -> u64 {
     delivered
 }
 
+/// The GPC-channel receiver's ejection side: the 14 SMs of GPC0 take
+/// bursts of four back-to-back 5-flit read replies, injected at 2.5
+/// flits/cycle — below the GPC0 reply channel's 3 flits/cycle, so the
+/// channel never backs up and the per-SM ejection ports (1 flit/cycle
+/// each, with queues that fill during a burst) carry the cost. Returns
+/// replies delivered to the SMs.
+pub fn reply_ejection_fanout(cycles: u64) -> u64 {
+    let cfg = GpuConfig::volta_v100();
+    let mut fabric = ReplyFabric::new(&cfg);
+    let readers: Vec<SmId> = (0..cfg.num_sms())
+        .map(SmId::new)
+        .filter(|&sm| cfg.gpc_of_sm(sm).index() == 0)
+        .collect();
+    let slices = cfg.mem.num_l2_slices as u64;
+    let mut next = 0u64;
+    let mut delivered = 0u64;
+    for now in 0..cycles {
+        fabric.deliver_ready(now, |_, _| delivered += 1);
+        if now.is_multiple_of(2) {
+            let sm = readers[(next / 4) as usize % readers.len()];
+            let slice = (next % slices) as usize;
+            let p = Packet {
+                data_bytes: 128,
+                ..packet(next, sm.index(), slice, PacketKind::ReadReply, now)
+            };
+            if fabric.inject_at_slice(SliceId::new(slice), p).is_ok() {
+                next += 1;
+            }
+        }
+        fabric.tick(now);
+    }
+    delivered
+}
+
 /// Best-observed ns/cycle for the three hot loops. Serialized into
 /// bench reports so BENCH files are self-describing.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -260,6 +295,7 @@ mod tests {
         assert_eq!(crossbar_spread(1000), 5988);
         assert_eq!(l2_miss_stream(1000), 100);
         assert_eq!(reply_port_blocked(1000), 1215);
+        assert_eq!(reply_ejection_fanout(1000), 484);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!
 //! The plan is shared (`Arc<FaultPlan>`) by four subsystems:
 //!
-//! * `gnc_noc::mux::ConcentratorMux` — background-traffic bursts steal
-//!   output flit slots at the shared TPC/GPC muxes ([`FaultPlan::burst_flits`]).
+//! * `gnc_noc::mux::ConcentratorMux` and `gnc_noc::eject::EjectionPort`
+//!   — background-traffic bursts steal output flit slots at the NoC muxes
+//!   and the per-SM ejection ports ([`FaultPlan::burst_flits`],
+//!   [`FaultPlan::burst_steal`]).
 //! * the simulator's measurement path — per-sample latency jitter,
 //!   dropped samples, duplicated samples
 //!   ([`FaultPlan::sample_jitter`], [`FaultPlan::drop_sample`],
@@ -453,12 +455,23 @@ impl FaultPlan {
     /// Output flit slots a mux at `site` loses to background traffic at
     /// `now`. Consumed by `ConcentratorMux::tick`.
     pub fn burst_flits(&self, site: u64, now: u64) -> u32 {
+        let steal = self.burst_steal(site, now);
+        if steal > 0 {
+            self.noc_burst_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        steal
+    }
+
+    /// [`burst_flits`](Self::burst_flits) without the statistics side
+    /// effect: the pure decision, for stages that account their burst
+    /// cycles in bulk through [`note_burst_cycles`]
+    /// (Self::note_burst_cycles).
+    pub fn burst_steal(&self, site: u64, now: u64) -> u32 {
         if self.cfg.noc_burst_rate <= 0.0 || self.cfg.noc_burst_flits == 0 {
             return 0;
         }
         let window = now / u64::from(self.cfg.noc_burst_cycles.max(1));
         if self.chance(domain::NOC, site, window, self.cfg.noc_burst_rate) {
-            self.noc_burst_hits.fetch_add(1, Ordering::Relaxed);
             self.cfg.noc_burst_flits
         } else {
             0
@@ -486,17 +499,20 @@ impl FaultPlan {
         Some((now / period + 1).saturating_mul(period))
     }
 
-    /// Records one mux cycle that lost flit slots to an already-decided
-    /// burst window. A mux that caches the [`burst_flits`] value across
-    /// a window (see [`burst_stable_until`]) calls this for each
-    /// subsequent busy cycle the cached steal applies to, keeping
-    /// [`FaultStats::noc_burst_cycles`] identical to probing the plan
-    /// every cycle.
+    /// Records `cycles` mux cycles that lost flit slots to already-
+    /// decided burst windows. A mux that caches the [`burst_flits`]
+    /// value across a window (see [`burst_stable_until`]) calls this for
+    /// each subsequent busy cycle the cached steal applies to, and an
+    /// ejection port that schedules a reply's whole service at once
+    /// (via [`burst_steal`]) calls it once for all the busy cycles that
+    /// service adds, keeping [`FaultStats::noc_burst_cycles`] identical
+    /// to probing the plan every busy cycle.
     ///
     /// [`burst_flits`]: Self::burst_flits
+    /// [`burst_steal`]: Self::burst_steal
     /// [`burst_stable_until`]: Self::burst_stable_until
-    pub fn note_burst_cycle(&self) {
-        self.noc_burst_hits.fetch_add(1, Ordering::Relaxed);
+    pub fn note_burst_cycles(&self, cycles: u64) {
+        self.noc_burst_hits.fetch_add(cycles, Ordering::Relaxed);
     }
 
     /// Whether the latency sample identified by `(site, sample)` is lost.
@@ -720,12 +736,31 @@ mod tests {
     }
 
     #[test]
-    fn note_burst_cycle_feeds_the_stats_counter() {
+    fn note_burst_cycles_feeds_the_stats_counter() {
         let plan = FaultPlan::new(FaultConfig::off());
         assert_eq!(plan.stats().noc_burst_cycles, 0);
-        plan.note_burst_cycle();
-        plan.note_burst_cycle();
-        assert_eq!(plan.stats().noc_burst_cycles, 2);
+        plan.note_burst_cycles(1);
+        plan.note_burst_cycles(2);
+        assert_eq!(plan.stats().noc_burst_cycles, 3);
+    }
+
+    #[test]
+    fn burst_steal_is_burst_flits_without_the_count() {
+        let plan = FaultPlan::new(FaultConfig {
+            noc_burst_rate: 0.5,
+            noc_burst_cycles: 4,
+            noc_burst_flits: 2,
+            ..FaultConfig::off()
+        });
+        let mut fired = 0;
+        for now in 0..400 {
+            let steal = plan.burst_steal(9, now);
+            assert_eq!(plan.stats().noc_burst_cycles, fired, "pure query counted");
+            assert_eq!(plan.burst_flits(9, now), steal);
+            fired += u64::from(steal > 0);
+        }
+        assert!(fired > 0 && fired < 400);
+        assert_eq!(plan.stats().noc_burst_cycles, fired);
     }
 
     #[test]

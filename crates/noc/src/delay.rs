@@ -96,6 +96,17 @@ impl<T> DelayLine<T> {
         self.items.front().map(|(ready, _)| *ready)
     }
 
+    /// The `index`-th item in FIFO order (front is 0), ready or not.
+    pub(crate) fn get(&self, index: usize) -> Option<&T> {
+        self.items.get(index).map(|(_, item)| item)
+    }
+
+    /// Mutable access to the `index`-th item; changing its readiness is
+    /// impossible, so FIFO order is kept.
+    pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut T> {
+        self.items.get_mut(index).map(|(_, item)| item)
+    }
+
     /// Number of items in flight (ready or not).
     pub fn len(&self) -> usize {
         self.items.len()
@@ -154,6 +165,18 @@ mod tests {
         line.push_ready_at(20, "late");
         assert!(line.pop_ready(19).is_none());
         assert_eq!(line.pop_ready(20), Some("late"));
+    }
+
+    #[test]
+    fn get_indexes_in_fifo_order() {
+        let mut line = DelayLine::new(0);
+        line.push_ready_at(4, "a");
+        line.push_ready_at(9, "b");
+        assert_eq!(line.get(0), Some(&"a"));
+        assert_eq!(line.get(1), Some(&"b"));
+        assert_eq!(line.get(2), None);
+        assert_eq!(line.pop_ready(4), Some("a"));
+        assert_eq!(line.get(0), Some(&"b"));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! L2 slices over a crossbar. The reply subnet carries data back: slices
 //! feed a per-GPC reply channel (the bandwidth the GPC *read* channel
 //! contends for, §3.4), which fans out to per-SM ejection ports (so read
-//! replies do not contend *within* a TPC, matching Fig 5(a)).
+//! replies do not contend *within* a TPC, matching Fig 5(a); see
+//! [`crate::eject`] for the ports' closed-form schedule).
 //!
 //! The configured arbitration policy (§6) applies to the **TPC request
 //! muxes** — the concentration point between co-located SMs that the
@@ -20,6 +21,7 @@
 
 use crate::arbiter::OccupancyMask;
 use crate::crossbar::Crossbar;
+use crate::eject::EjectionPort;
 use crate::event::NextEvent;
 use crate::mux::ConcentratorMux;
 use crate::packet::Packet;
@@ -383,14 +385,12 @@ impl RequestFabric {
 pub struct ReplyFabric {
     /// One reply channel per GPC, fed by all L2 slices.
     gpc_muxes: Vec<ConcentratorMux>,
-    /// Per-SM fan-out buffers between the GPC channel and the ejection
-    /// ports. The GPC reply channel demultiplexes per destination SM, so
-    /// a backed-up ejector must not head-of-line-block replies bound for
-    /// *other* SMs — otherwise SMs that share nothing but the GPC would
-    /// falsely contend (violating Fig 5's flat-to-3-TPCs read curve).
-    sm_staging: Vec<std::collections::VecDeque<Packet>>,
-    /// Per-SM ejection ports.
-    sm_ejectors: Vec<ConcentratorMux>,
+    /// Per-SM ejection ports. The GPC reply channel demultiplexes per
+    /// destination SM, so a backed-up port must not head-of-line-block
+    /// replies bound for *other* SMs — otherwise SMs that share nothing
+    /// but the GPC would falsely contend (violating Fig 5's
+    /// flat-to-3-TPCs read curve). Each port stages its own overflow.
+    ports: Vec<EjectionPort>,
     /// Ground-truth GPC of each SM (reply routing).
     gpc_of_sm: Vec<GpcId>,
     /// Replies injected but not yet popped at an SM. Zero means the
@@ -400,12 +400,16 @@ pub struct ReplyFabric {
     /// zero entry proves that mux's tick, pop, and next_event are
     /// no-ops, so the hot loops skip the mux without touching it.
     gpc_busy: Vec<u32>,
-    /// Replies inside each SM's staging buffer + ejection port (same
-    /// contract as `gpc_busy`).
-    sm_busy: Vec<u32>,
-    /// Bit `s` set iff `sm_busy[s] > 0`: the per-cycle loops walk set
-    /// bits in index order instead of scanning all 80 counters twice.
+    /// Bit `s` set iff SM `s`'s port holds replies: the per-cycle loops
+    /// walk set bits in index order instead of scanning all 80 ports.
     sm_mask: OccupancyMask,
+    /// Earliest [`EjectionPort::next_forward`] over all ports: the
+    /// forward pass skips every port until this cycle.
+    next_forward: Cycle,
+    /// A lower bound on every port's [`EjectionPort::next_delivery`],
+    /// exact after each [`deliver_ready`](Self::deliver_ready) pass,
+    /// which skips every port until this cycle.
+    next_delivery: Cycle,
 }
 
 impl ReplyFabric {
@@ -426,18 +430,14 @@ impl ReplyFabric {
                 mux
             })
             .collect();
-        let sm_ejectors = (0..cfg.num_sms())
-            .map(|s| {
-                let mut mux = ConcentratorMux::new(
-                    1,
+        let ports = (0..cfg.num_sms())
+            .map(|_| {
+                EjectionPort::new(
                     noc.sm_reply_bw,
                     noc.tpc_to_gpc_latency + noc.sm_to_tpc_latency,
                     noc.input_queue_depth,
-                    Arbitration::RoundRobin,
                     noc,
-                );
-                mux.set_label(Component::sm_ejector(s));
-                mux
+                )
             })
             .collect();
         let gpc_of_sm = (0..cfg.num_sms())
@@ -445,27 +445,24 @@ impl ReplyFabric {
             .collect();
         Self {
             gpc_muxes,
-            sm_staging: (0..cfg.num_sms())
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            sm_ejectors,
+            ports,
             gpc_of_sm,
             in_flight: 0,
             gpc_busy: vec![0; cfg.num_gpcs],
-            sm_busy: vec![0; cfg.num_sms()],
             sm_mask: OccupancyMask::new(cfg.num_sms()),
+            next_forward: Cycle::MAX,
+            next_delivery: Cycle::MAX,
         }
     }
 
-    /// Attaches a fault plan to the shared reply channels (GPC reply
-    /// muxes at site `0x3_0000 + g`, SM ejection ports at
-    /// `0x4_0000 + s`).
+    /// Attaches a fault plan to the reply channels (GPC reply muxes at
+    /// site `0x3_0000 + g`, SM ejection ports at `0x4_0000 + s`).
     pub fn set_fault_plan(&mut self, plan: &Arc<FaultPlan>) {
         for (g, mux) in self.gpc_muxes.iter_mut().enumerate() {
             mux.set_fault_plan(Arc::clone(plan), 0x3_0000 + g as u64);
         }
-        for (s, ej) in self.sm_ejectors.iter_mut().enumerate() {
-            ej.set_fault_plan(Arc::clone(plan), 0x4_0000 + s as u64);
+        for (s, port) in self.ports.iter_mut().enumerate() {
+            port.set_fault_plan(Arc::clone(plan), 0x4_0000 + s as u64);
         }
     }
 
@@ -533,44 +530,42 @@ impl ReplyFabric {
     /// [`tick`](Self::tick) with telemetry: the GPC reply channels and
     /// SM ejection ports report grants, forwards, and queue depths.
     pub fn tick_probed<P: Probe>(&mut self, now: Cycle, probe: &mut P) {
-        for sm in self.sm_mask.iter_set() {
-            self.sm_ejectors[sm].tick_probed(now, Component::sm_ejector(sm), probe);
+        // Ports forward the replies whose last flit crosses now; no port
+        // is visited before the earliest such cycle.
+        if now >= self.next_forward {
+            let mut next = Cycle::MAX;
+            for sm in self.sm_mask.iter_set() {
+                let port = &mut self.ports[sm];
+                port.tick(now, Component::sm_ejector(sm), probe);
+                next = next.min(port.next_forward());
+            }
+            self.next_forward = next;
         }
-        // GPC reply channel → per-SM staging (fan-out, no HOL blocking).
+        // GPC reply channel → per-SM ports (fan-out, no HOL blocking).
         // The batched drain delivers the same FIFO sequence as repeated
         // pops, retiring the mux's arena slots in one batch.
-        let sm_staging = &mut self.sm_staging;
-        let sm_busy = &mut self.sm_busy;
-        let sm_mask = &mut self.sm_mask;
+        let Self {
+            ports,
+            sm_mask,
+            next_forward,
+            next_delivery,
+            ..
+        } = self;
         for (g, mux) in self.gpc_muxes.iter_mut().enumerate() {
             if self.gpc_busy[g] == 0 {
                 continue;
             }
             let drained = mux.drain_delivered(now, |packet| {
                 let sm = packet.sm.index();
-                if sm_busy[sm] == 0 {
+                let port = &mut ports[sm];
+                if port.is_empty() {
                     sm_mask.set(sm);
                 }
-                sm_busy[sm] += 1;
-                sm_staging[sm].push_back(packet);
+                port.accept(now, packet);
+                *next_forward = (*next_forward).min(port.next_forward());
+                *next_delivery = (*next_delivery).min(port.next_delivery());
             });
             self.gpc_busy[g] -= u32::try_from(drained).expect("queue depths fit u32");
-        }
-        // Staging → ejection ports, per busy SM (a set bit with an empty
-        // staging buffer just means the reply already sits in the
-        // ejector; the `front()` probe skips it at one load).
-        for sm in self.sm_mask.iter_set() {
-            while let Some(head) = self.sm_staging[sm].front() {
-                if !self.sm_ejectors[sm].can_accept(0) {
-                    probe.push_denied(Component::sm_ejector(sm), 0);
-                    break;
-                }
-                let _ = head;
-                let packet = self.sm_staging[sm].pop_front().expect("front exists");
-                self.sm_ejectors[sm]
-                    .try_push_probed(0, packet, Component::sm_ejector(sm), probe)
-                    .expect("capacity just checked");
-            }
         }
         for (g, mux) in self.gpc_muxes.iter_mut().enumerate() {
             if self.gpc_busy[g] > 0 {
@@ -580,15 +575,15 @@ impl ReplyFabric {
     }
 
     /// Removes the next reply arriving at `sm`, if ready at `now`.
+    /// [`deliver_ready`](Self::deliver_ready) is the engine's path; this
+    /// single-port pop leaves the fabric's delivery bound conservative
+    /// (early) until the next `deliver_ready` pass.
     pub fn pop_at_sm(&mut self, sm: SmId, now: Cycle) -> Option<Packet> {
-        if self.sm_busy[sm.index()] == 0 {
-            return None;
-        }
-        let popped = self.sm_ejectors[sm.index()].pop_delivered(now);
+        let port = &mut self.ports[sm.index()];
+        let popped = port.pop_ready(now);
         if popped.is_some() {
             self.in_flight -= 1;
-            self.sm_busy[sm.index()] -= 1;
-            if self.sm_busy[sm.index()] == 0 {
+            if port.is_empty() {
                 self.sm_mask.clear(sm.index());
             }
         }
@@ -600,7 +595,12 @@ impl ReplyFabric {
     /// sweep over every SM with replies in flight, but walks only busy
     /// ones. Replies only target SMs whose requesting blocks are still
     /// resident, so the busy set is a subset of any active-SM sweep.
+    /// No port is visited before the earliest delivery cycle.
     pub fn deliver_ready<F: FnMut(usize, Packet)>(&mut self, now: Cycle, mut sink: F) {
+        if now < self.next_delivery {
+            return;
+        }
+        let mut next = Cycle::MAX;
         for w in 0..self.sm_mask.words().len() {
             // Snapshot one word: pops may clear bits of already-visited
             // SMs, never set new ones.
@@ -611,8 +611,10 @@ impl ReplyFabric {
                 while let Some(p) = self.pop_at_sm(SmId::new(sm), now) {
                     sink(sm, p);
                 }
+                next = next.min(self.ports[sm].next_delivery());
             }
         }
+        self.next_delivery = next;
     }
 
     /// Replies injected but not yet delivered to an SM. When zero the
@@ -621,9 +623,19 @@ impl ReplyFabric {
         self.in_flight
     }
 
+    /// Reports the burst cycles before `end` of replies still in service
+    /// (see [`EjectionPort::settle_faults`]). A run that stops at its
+    /// cycle budget calls this so `FaultStats` match per-cycle ticking.
+    pub fn settle_faults(&mut self, end: Cycle) {
+        for sm in self.sm_mask.iter_set() {
+            self.ports[sm].settle_faults(end);
+        }
+    }
+
     /// The earliest [`NextEvent`] across every stage of the subnet.
     /// Empty stages report [`NextEvent::Idle`] (the merge identity), so
-    /// only busy ones are consulted.
+    /// only busy ones are consulted. Ports are never busy: each reports
+    /// its next forward or delivery, whichever is earlier.
     pub fn next_event(&self) -> NextEvent {
         let mut ev = NextEvent::Idle;
         for (g, mux) in self.gpc_muxes.iter().enumerate() {
@@ -634,14 +646,9 @@ impl ReplyFabric {
                 }
             }
         }
-        for sm in self.sm_mask.iter_set() {
-            if !self.sm_staging[sm].is_empty() {
-                return NextEvent::Busy;
-            }
-            match self.sm_ejectors[sm].next_event() {
-                NextEvent::Busy => return NextEvent::Busy,
-                e => ev = ev.merge(e),
-            }
+        let ports = self.next_forward.min(self.next_delivery);
+        if ports != Cycle::MAX {
+            ev = ev.merge(NextEvent::At(ports));
         }
         ev
     }
@@ -665,11 +672,7 @@ impl ReplyFabric {
         }
         assert!(
             self.gpc_muxes.iter().all(ConcentratorMux::is_drained)
-                && self
-                    .sm_staging
-                    .iter()
-                    .all(std::collections::VecDeque::is_empty)
-                && self.sm_ejectors.iter().all(ConcentratorMux::is_drained),
+                && self.ports.iter().all(EjectionPort::is_empty),
             "reply-fabric in-flight counter out of sync: \
              counter claims drained but a component holds replies"
         );
@@ -690,16 +693,14 @@ impl ReplyFabric {
         for mux in &mut self.gpc_muxes {
             mux.reset();
         }
-        for staging in &mut self.sm_staging {
-            staging.clear();
-        }
-        for ejector in &mut self.sm_ejectors {
-            ejector.reset();
+        for port in &mut self.ports {
+            port.reset();
         }
         self.in_flight = 0;
         self.gpc_busy.fill(0);
-        self.sm_busy.fill(0);
         self.sm_mask.clear_all();
+        self.next_forward = Cycle::MAX;
+        self.next_delivery = Cycle::MAX;
     }
 }
 
@@ -866,9 +867,10 @@ mod tests {
 
     #[test]
     fn reply_fabric_has_no_head_of_line_coupling() {
-        // SM0's ejector is deliberately left undrained; replies bound for
-        // SM2 (same GPC) must keep flowing — per-SM staging prevents
-        // head-of-line blocking (the Fig 5a flat-read guarantee).
+        // SM0's port is deliberately left undrained; replies bound for
+        // SM2 (same GPC) must keep flowing — per-SM ports stage their own
+        // overflow, so there is no head-of-line blocking (the Fig 5a
+        // flat-read guarantee).
         let cfg = cfg();
         let mut fabric = ReplyFabric::new(&cfg);
         let mut next_id = 0u64;
@@ -888,7 +890,7 @@ mod tests {
                 sm2_got += 1;
             }
         }
-        // SM2 drains at its ejector rate (~0.5 pkt/cycle for 2-flit
+        // SM2 drains at its port rate (~0.5 pkt/cycle for 2-flit
         // replies) despite SM0's stall.
         assert!(sm2_got > 200, "SM2 only received {sm2_got} replies");
     }

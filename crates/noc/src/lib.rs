@@ -16,6 +16,7 @@
 //! * [`mux`] — the concentrating mux: N bounded input FIFOs, one output
 //!   channel of B flits/cycle, a pluggable arbiter, and flow control.
 //! * [`crossbar`] — an input-queued crossbar built from per-output muxes.
+//! * [`eject`] — the per-SM reply ejection port, scheduled in closed form.
 //! * [`fabric`] — the full request and reply networks wired per
 //!   [`gnc_common::GpuConfig`].
 //!
@@ -34,6 +35,7 @@ pub mod arbiter;
 mod arena;
 pub mod crossbar;
 pub mod delay;
+pub mod eject;
 pub mod event;
 pub mod fabric;
 pub mod mux;

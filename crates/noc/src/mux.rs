@@ -3,9 +3,11 @@
 //! A [`ConcentratorMux`] joins N bounded input FIFOs onto one output
 //! channel of B flits/cycle through an arbitration policy, then delays
 //! completed packets by the channel pipeline latency. Instances of this
-//! one component model the 2:1 SM→TPC mux, the 7:1 TPC→GPC mux with
-//! speedup, each crossbar output, the GPC reply channel, and the per-SM
-//! ejection port (Figure 1 of the paper).
+//! one component model the shared concentration points of Figure 1 of
+//! the paper: the 2:1 SM→TPC mux, the 7:1 TPC→GPC mux with speedup,
+//! each crossbar output, and the GPC reply channel. The per-SM ejection
+//! port has a single input and nothing to arbitrate, so it is scheduled
+//! in closed form instead (see [`crate::eject`]).
 
 use crate::arbiter::{InlineArbiter, OccupancyMask};
 use crate::arena::PacketArena;
@@ -393,7 +395,7 @@ impl ConcentratorMux {
             if let Some((plan, _)) = &self.fault {
                 // Keep `FaultStats` identical to probing the plan every
                 // busy cycle of the (already decided) burst window.
-                plan.note_burst_cycle();
+                plan.note_burst_cycles(1);
             }
         }
         let winner = self.run_winner;
@@ -467,7 +469,7 @@ impl ConcentratorMux {
     /// decision is constant within a burst window
     /// ([`FaultPlan::burst_stable_until`]), so the splitmix hash runs
     /// once per window instead of once per busy cycle. Cache hits on
-    /// firing windows feed [`FaultPlan::note_burst_cycle`] so the plan's
+    /// firing windows feed [`FaultPlan::note_burst_cycles`] so the plan's
     /// statistics stay identical to per-cycle probing.
     #[inline]
     fn burst_steal(&mut self, now: Cycle) -> u32 {
@@ -478,7 +480,7 @@ impl ConcentratorMux {
             self.burst_value = plan.burst_flits(*site, now);
             self.burst_until = plan.burst_stable_until(*site, now).unwrap_or(Cycle::MAX);
         } else if self.burst_value > 0 {
-            plan.note_burst_cycle();
+            plan.note_burst_cycles(1);
         }
         self.burst_value
     }

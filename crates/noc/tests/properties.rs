@@ -7,6 +7,7 @@ use gnc_common::telemetry::{Component, Probe};
 use gnc_common::Cycle;
 use gnc_noc::arbiter::{make_arbiter, ArbHead, Arbiter};
 use gnc_noc::delay::DelayLine;
+use gnc_noc::eject::EjectionPort;
 use gnc_noc::mux::ConcentratorMux;
 use gnc_noc::packet::{Packet, PacketId, PacketKind};
 use proptest::prelude::*;
@@ -536,6 +537,139 @@ proptest! {
             }
             // Bits past the last input stay clear.
             prop_assert_eq!(full.iter_set().count(), (0..n_inputs).filter(|&i| !mux.can_accept(i)).count());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The closed-form ejection port is the composition it replaced: a
+    /// one-input [`ConcentratorMux`] behind an unbounded staging queue,
+    /// driven in the engine's phase order every cycle (deliver, mux
+    /// tick, receive into staging, move staging into the mux while it
+    /// has room). Random arrival streams include bursts deeper than the
+    /// queue, 1-5 flit replies, bandwidths 1-4, depths 1-8, latencies
+    /// 0-12, and burst faults that steal part or all of a cycle's
+    /// budget. Delivery cycles and order, fault statistics (also at a
+    /// run cut short mid-stream), and the probe's full event sequence
+    /// must all match, and every forward must be reported in the tick of
+    /// its own cycle.
+    #[test]
+    fn ejection_port_matches_mux_with_staging(
+        bandwidth in 1u32..5,
+        depth in 1usize..9,
+        latency in 0u32..13,
+        seed in 1u64..u64::MAX,
+        fault_on in any::<bool>(),
+        cut in 1u64..400,
+    ) {
+        let noc = NocConfig::default();
+        let comp = Component::sm_ejector(5);
+        let mut port = EjectionPort::new(bandwidth, latency, depth, &noc);
+        let mut mux = ConcentratorMux::new(1, bandwidth, latency, depth, Arbitration::RoundRobin, &noc);
+        let mut staging: VecDeque<Packet> = VecDeque::new();
+        let plans = fault_on.then(|| {
+            let cfg = FaultConfig {
+                noc_burst_rate: 0.5,
+                noc_burst_cycles: 1 + (seed % 7) as u32,
+                noc_burst_flits: 1 + ((seed >> 3) % 5) as u32,
+                ..FaultConfig::off()
+            };
+            (FaultPlan::new(cfg.clone()), FaultPlan::new(cfg))
+        });
+        if let Some((a, b)) = &plans {
+            port.set_fault_plan(Arc::clone(a), 0x4_0005);
+            mux.set_fault_plan(Arc::clone(b), 0x4_0005);
+        }
+        let (mut got, mut want) = (Recorder::default(), Recorder::default());
+        let (mut got_pops, mut want_pops) = (Vec::new(), Vec::new());
+        let mut rng = seed;
+        let mut xorshift = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut sent, mut delivered, mut now) = (0u64, 0u64, 0u64);
+        while now < 300 || delivered < sent {
+            prop_assert!(now < 200_000, "replies stuck: {} of {} delivered", delivered, sent);
+            if now == cut {
+                // A run stopping at its cycle budget here: the port must
+                // report exactly the burst cycles the mux has counted so
+                // far, and report none of them again later.
+                port.settle_faults(now);
+                if let Some((a, b)) = &plans {
+                    prop_assert_eq!(a.stats(), b.stats(), "fault statistics diverged at the cut");
+                }
+            }
+            while let Some(p) = port.pop_ready(now) {
+                got_pops.push((now, p.id.0));
+                delivered += 1;
+            }
+            while let Some(p) = mux.pop_delivered(now) {
+                want_pops.push((now, p.id.0));
+            }
+            // The port may report grants, depths and refusals late, but
+            // a forward only inside the tick of its own cycle: that is
+            // the order a trace keeps.
+            let seen = got.0.len();
+            port.tick(now, comp, &mut got);
+            for ev in &got.0[seen..] {
+                if let Ev::Fwd { now: at, .. } = ev {
+                    prop_assert_eq!(*at, now, "forward reported outside its cycle");
+                }
+            }
+            mux.tick_probed(now, comp, &mut want);
+            let r = xorshift();
+            // Quiet, trickle, or a burst of up to 15 replies at once.
+            let arrivals = if now >= 300 { 0 } else {
+                match r % 8 {
+                    0..=3 => 0,
+                    4..=6 => 1,
+                    _ => (r >> 8) % 16,
+                }
+            };
+            for i in 0..arrivals {
+                let (kind, bytes) = match (r >> (16 + 2 * i)) % 4 {
+                    0 => (PacketKind::WriteAck, 0),
+                    1 => (PacketKind::ReadReply, 4),
+                    2 => (PacketKind::ReadReply, 32),
+                    _ => (PacketKind::ReadReply, 128),
+                };
+                let p = packet(sent, 5, kind, bytes, now);
+                sent += 1;
+                port.accept(now, p.clone());
+                staging.push_back(p);
+            }
+            while !staging.is_empty() {
+                if !mux.can_accept(0) {
+                    want.push_denied(comp, 0);
+                    break;
+                }
+                let p = staging.pop_front().expect("non-empty");
+                mux.try_push_probed(0, p, comp, &mut want).expect("room checked");
+            }
+            now += 1;
+        }
+        prop_assert_eq!(got_pops, want_pops, "deliveries diverged");
+        prop_assert!(port.is_empty() && mux.is_drained() && staging.is_empty());
+        prop_assert_eq!((port.next_forward(), port.next_delivery()), (Cycle::MAX, Cycle::MAX));
+        if let Some((a, b)) = &plans {
+            prop_assert_eq!(a.stats(), b.stats(), "fault statistics diverged");
+        }
+        if got.0 != want.0 {
+            let at = got.0.iter().zip(&want.0).take_while(|(a, b)| a == b).count();
+            let window = |evs: &[Ev]| evs[at.saturating_sub(6)..(at + 6).min(evs.len())].to_vec();
+            prop_assert!(
+                false,
+                "event sequences diverge at {} of {}/{}:\n port {:?}\n  mux {:?}",
+                at,
+                got.0.len(),
+                want.0.len(),
+                window(&got.0),
+                window(&want.0)
+            );
         }
     }
 }

@@ -857,11 +857,7 @@ impl<P: Probe> Gpu<P> {
                 }
                 self.tick();
             }
-            return if self.is_idle() {
-                RunOutcome::Idle { at: self.now }
-            } else {
-                RunOutcome::Timeout { at: self.now }
-            };
+            return self.timeout_or_idle();
         }
         // The owned calendar is re-seeded per run (a handful of busy
         // bits, no allocation), which keeps it correct across manual
@@ -926,11 +922,19 @@ impl<P: Probe> Gpu<P> {
             self.tick_gated(&mut cal);
         };
         self.run_cal = cal;
-        early.unwrap_or(if self.is_idle() {
+        early.unwrap_or_else(|| self.timeout_or_idle())
+    }
+
+    /// The outcome of a run that reached its deadline. A run cut short
+    /// first reports the burst-fault cycles its ejection ports served
+    /// before the deadline (they count the rest when they forward).
+    fn timeout_or_idle(&mut self) -> RunOutcome {
+        if self.is_idle() {
             RunOutcome::Idle { at: self.now }
         } else {
+            self.reply_fabric.settle_faults(self.now);
             RunOutcome::Timeout { at: self.now }
-        })
+        }
     }
 
     /// True when all kernels finished and no packet is in flight.

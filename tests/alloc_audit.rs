@@ -3,11 +3,12 @@
 //!
 //! Two contracts are gated here:
 //!
-//! 1. **Zero heap operations per steady-state cycle.** The three hot
+//! 1. **Zero heap operations per steady-state cycle.** The hot
 //!    component loops of `benches/engine_hot_paths.rs` — a saturated
-//!    concentrator mux, a spread crossbar, and an L2 slice streaming
-//!    misses — must perform *no* allocator calls once warmed up: every
-//!    queue, arena slot, delay line, and MSHR waiter list is recycled.
+//!    concentrator mux, a spread crossbar, an L2 slice streaming misses,
+//!    and the reply fabric behind backed-up L2 reply ports — must
+//!    perform *no* allocator calls once warmed up: every queue, arena
+//!    slot, delay line, ejection port, and MSHR waiter list is recycled.
 //! 2. **Bounded per-trial allocations under reset-reuse.** A pooled
 //!    sweep trial (`gnc_sim::with_pooled_gpu` + `Gpu::reset`) must
 //!    allocate a small fraction of what a fresh construction does —
@@ -28,12 +29,15 @@ use gpu_noc_covert::common::alloc_audit;
 use gpu_noc_covert::common::bits::BitVec;
 use gpu_noc_covert::common::config::{Arbitration, NocConfig};
 use gpu_noc_covert::common::ids::{SliceId, SmId, WarpId};
+use gpu_noc_covert::common::telemetry::NullProbe;
 use gpu_noc_covert::common::GpuConfig;
 use gpu_noc_covert::covert::channel::ChannelPlan;
 use gpu_noc_covert::covert::protocol::ProtocolConfig;
 use gpu_noc_covert::mem::dram::DramController;
 use gpu_noc_covert::mem::l2::L2Slice;
+use gpu_noc_covert::mem::subsystem::MemorySubsystem;
 use gpu_noc_covert::noc::crossbar::Crossbar;
+use gpu_noc_covert::noc::fabric::ReplyFabric;
 use gpu_noc_covert::noc::mux::ConcentratorMux;
 use gpu_noc_covert::noc::packet::{Packet, PacketId, PacketKind};
 
@@ -162,6 +166,56 @@ fn l2_miss_stream_steady_state_is_allocation_free() {
         alloc_audit::allocation_delta(|| drive(&mut slice, &mut dram, 20_000..40_000));
     assert!(replies > 0, "L2 slice must actually serve misses");
     assert_zero_alloc("L2 miss stream", delta);
+}
+
+#[test]
+fn reply_fabric_steady_state_is_allocation_free() {
+    // The `reply_port_blocked` microbench shape: GPC0's SMs keep more
+    // preloaded reads outstanding than the GPC0 reply channel's slice
+    // inputs hold, so replies back up at every L2 reply port and every
+    // GPC0 ejection port stays busy.
+    let cfg = GpuConfig::volta_v100();
+    let mut mem = MemorySubsystem::new(&cfg);
+    let mut fabric = ReplyFabric::new(&cfg);
+    let readers: Vec<SmId> = (0..cfg.num_sms())
+        .map(SmId::new)
+        .filter(|&sm| cfg.gpc_of_sm(sm).index() == 0)
+        .collect();
+    let slices = cfg.mem.num_l2_slices as u64;
+    let lines = 8 * slices;
+    mem.preload_range(0, lines);
+    let max_outstanding = 3 * slices * cfg.noc.input_queue_depth as u64;
+    let mut next = 0u64;
+    let mut delivered = 0u64;
+    let mut drive =
+        |mem: &mut MemorySubsystem, fabric: &mut ReplyFabric, span: std::ops::Range<u64>| {
+            for now in span {
+                for &sm in &readers {
+                    if next - delivered >= max_outstanding {
+                        break;
+                    }
+                    let addr = (next % lines) * 128;
+                    let p = Packet {
+                        sm,
+                        slice: mem.address_map().slice_of(addr),
+                        addr,
+                        ..packet(next, sm.index(), 0, PacketKind::ReadRequest, now)
+                    };
+                    mem.push_request(p, now);
+                    next += 1;
+                }
+                mem.tick(now);
+                mem.drain_replies_probed(fabric, &mut NullProbe);
+                fabric.tick(now);
+                fabric.deliver_ready(now, |_, _| delivered += 1);
+            }
+        };
+    // Warm-up: slice reply channels, the GPC reply muxes' arenas and every
+    // ejection port's queue reach their high-water marks.
+    drive(&mut mem, &mut fabric, 0..5_000);
+    let ((), delta) = alloc_audit::allocation_delta(|| drive(&mut mem, &mut fabric, 5_000..15_000));
+    assert!(delivered > 5_000, "reply fabric must actually deliver");
+    assert_zero_alloc("reply fabric", delta);
 }
 
 #[test]

@@ -16,7 +16,6 @@ const DOCS: &[&str] = &[
     "ROADMAP.md",
     "DESIGN.md",
     "EXPERIMENTS.md",
-    "CHANGELOG.md",
     "CHANGES.md",
     "results/README.md",
 ];
