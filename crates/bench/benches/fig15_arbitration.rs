@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(2));
     group.bench_function("rr_crr_srr_sweep", |b| {
         b.iter(|| {
-            let sweep = arbitration_sweep(
+            arbitration_sweep(
                 &cfg,
                 &[
                     Arbitration::RoundRobin,
@@ -23,8 +23,7 @@ fn bench(c: &mut Criterion) {
                 &[0.5, 1.0],
                 24,
                 0,
-            );
-            sweep
+            )
         })
     });
     group.finish();

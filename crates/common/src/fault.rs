@@ -394,7 +394,8 @@ pub struct FaultStats {
     pub samples_duplicated: u64,
     /// Latency samples that received nonzero jitter.
     pub samples_jittered: u64,
-    /// Clock reads taken while a glitch window was active.
+    /// SM cycles in which warps issued on a clock read taken inside a
+    /// glitch window ([`FaultPlan::note_clock_read`]).
     pub glitched_clock_reads: u64,
     /// L2 lookup cycles stalled by a hot-spot window.
     pub l2_stall_cycles: u64,
@@ -568,14 +569,32 @@ impl FaultPlan {
                 off -= drift;
             }
         }
-        if self.cfg.clock_glitch_rate > 0.0 && self.cfg.clock_glitch_cycles > 0 {
-            let window = now >> 10;
-            if self.chance(domain::GLITCH, sm, window, self.cfg.clock_glitch_rate) {
-                self.glitch_reads.fetch_add(1, Ordering::Relaxed);
-                off += i64::from(self.cfg.clock_glitch_cycles);
-            }
+        if self.clock_glitched(sm, now) {
+            off += i64::from(self.cfg.clock_glitch_cycles);
         }
         off
+    }
+
+    /// Whether `sm`'s clock is inside a glitch window at `now`.
+    fn clock_glitched(&self, sm: u64, now: u64) -> bool {
+        self.cfg.clock_glitch_rate > 0.0
+            && self.cfg.clock_glitch_cycles > 0
+            && self.chance(domain::GLITCH, sm, now >> 10, self.cfg.clock_glitch_rate)
+    }
+
+    /// Counts one glitched clock read when `sm`'s clock is inside a
+    /// glitch window at `now`. The simulator calls this once per SM
+    /// cycle in which warps issue, not from [`clock_offset`], which
+    /// also serves wake-up estimates and idle polls: how often those
+    /// run depends on how the engine schedules time, so counting them
+    /// would make the statistic differ between runs of identical
+    /// simulated behaviour.
+    ///
+    /// [`clock_offset`]: Self::clock_offset
+    pub fn note_clock_read(&self, sm: u64, now: u64) {
+        if self.clock_glitched(sm, now) {
+            self.glitch_reads.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// First cycle strictly after `now` at which [`clock_offset`] for
@@ -802,7 +821,7 @@ mod tests {
             let _ = plan.drop_sample(0, t);
             let _ = plan.dup_sample(0, t);
             let _ = plan.sample_jitter(0, t);
-            let _ = plan.clock_offset(0, t);
+            plan.note_clock_read(0, t);
             let _ = plan.l2_stall(0, t);
         }
         let stats = plan.stats();

@@ -866,8 +866,8 @@ mod tests {
     #[test]
     fn null_probe_is_zero_sized_and_disabled() {
         assert_eq!(std::mem::size_of::<NullProbe>(), 0);
-        assert!(!<NullProbe as Probe>::ENABLED);
-        assert!(<Collector as Probe>::ENABLED);
+        const { assert!(!<NullProbe as Probe>::ENABLED) };
+        const { assert!(<Collector as Probe>::ENABLED) };
     }
 
     #[test]

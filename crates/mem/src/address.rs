@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn consecutive_lines_interleave_across_all_slices() {
         let m = map();
-        let mut seen = vec![false; 48];
+        let mut seen = [false; 48];
         for i in 0..48u64 {
             seen[m.slice_of(i * 128).index()] = true;
         }

@@ -649,12 +649,10 @@ mod tests {
         slice.preload(hot.addr);
         slice.push_request(hot, 0);
         let sets = slice.map.num_sets() as u64;
-        let mut now = 0;
         for k in 1..=cfg.mem.l2_assoc as u64 {
             // nth = k * num_sets keeps the same set with a different tag.
             let req = req_for(&slice, k * sets, PacketKind::ReadRequest, k);
-            slice.push_request(req, now);
-            now += 1;
+            slice.push_request(req, k - 1);
         }
         for t in 0..20_000 {
             slice.tick(t, &mut dram);

@@ -250,7 +250,7 @@ proptest! {
         ops in proptest::collection::vec((0usize..4, 0u64..8), 1..40),
     ) {
         let mut ctrl = DramController::new(&MemConfig::default());
-        let mut last_done = vec![0u64; 4];
+        let mut last_done = [0u64; 4];
         let mut now = 0u64;
         for (bank, row) in ops {
             let done = ctrl.access(bank, row, now);

@@ -689,7 +689,7 @@ mod tests {
                 for slot in 0..2000u64 {
                     for _ in 0..3 {
                         let i = (xorshift(&mut rng) % n as u64) as usize;
-                        if xorshift(&mut rng) % 3 == 0 {
+                        if xorshift(&mut rng).is_multiple_of(3) {
                             heads[i] = None;
                             occ.clear(i);
                         } else {
@@ -775,7 +775,7 @@ mod tests {
         /// New arrivals at idle inputs, drawn once per cycle.
         fn refill(&mut self) {
             for i in 0..self.head_remaining.len() {
-                if !self.occ.get(i) && xorshift(&mut self.rng) % 4 == 0 {
+                if !self.occ.get(i) && xorshift(&mut self.rng).is_multiple_of(4) {
                     self.install_head(i);
                 }
             }
@@ -784,7 +784,7 @@ mod tests {
         /// The head just drained: half the time another packet was queued
         /// behind it (mid-cycle head change), otherwise the input idles.
         fn on_complete(&mut self, i: usize) {
-            if xorshift(&mut self.rng) % 2 == 0 {
+            if xorshift(&mut self.rng).is_multiple_of(2) {
                 self.install_head(i);
             } else {
                 self.occ.clear(i);

@@ -104,6 +104,15 @@ impl ClockDomain {
         self.read64(sm, now) as u32
     }
 
+    /// Reports to the fault plan that `sm`'s warps issued on the clock
+    /// value read at `now` (see [`FaultPlan::note_clock_read`]).
+    #[inline]
+    pub(crate) fn note_read(&self, sm: SmId, now: Cycle) {
+        if let Some(plan) = &self.fault {
+            plan.note_clock_read(sm.index() as u64, now);
+        }
+    }
+
     /// Number of SMs covered.
     pub fn num_sms(&self) -> usize {
         self.offsets.len()

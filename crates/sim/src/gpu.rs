@@ -53,17 +53,6 @@ const REPLY_FABRIC: ComponentId = 2;
 const MEM: ComponentId = 3;
 const SM_BASE: ComponentId = 4;
 
-/// How [`Gpu::run_until_idle`] advances time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopMode {
-    /// Jump over provably dead cycles using the components' merged
-    /// [`NextEvent`] reports (the default). Bit-identical to `Naive` —
-    /// guarded by the `simulator_fidelity` equality tests.
-    FastForward,
-    /// Tick every cycle (the reference engine).
-    Naive,
-}
-
 /// Why a run loop stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -141,19 +130,21 @@ pub struct Gpu<P: Probe = NullProbe> {
     recorder: Recorder,
     now: Cycle,
     fault: Option<std::sync::Arc<gnc_common::fault::FaultPlan>>,
-    loop_mode: LoopMode,
+    /// Selects the never-park reference drive (see
+    /// [`set_never_park`](Self::set_never_park)).
+    #[cfg(any(test, feature = "reference"))]
+    never_park: bool,
     /// Indices of SMs with resident blocks, rebuilt on placement and
     /// retirement. A block stays resident until every request it issued
     /// has drained, so this list bounds which SMs can tick to an effect
     /// or receive replies.
     active_sms: Vec<usize>,
-    /// Scratch list of SMs ticked in the current gated cycle (reused
-    /// across cycles to avoid per-cycle allocation); only these SMs can
-    /// hold newly finished blocks, so retirement scans just them.
+    /// Scratch list of SMs ticked in the current cycle (reused across
+    /// cycles to avoid per-cycle allocation); only these SMs can hold
+    /// newly finished blocks, so retirement scans just them.
     ticked_sms: Vec<usize>,
-    /// The fast-forward run loop's event calendar, owned by the machine
-    /// so repeated [`run_until_idle`](Self::run_until_idle) calls reuse
-    /// one allocation instead of rebuilding it per run.
+    /// The run loop's event calendar, owned by the machine so repeated
+    /// runs reuse one allocation instead of rebuilding it per run.
     run_cal: EventCalendar,
     probe: P,
 }
@@ -208,7 +199,8 @@ impl Gpu {
             recorder: Recorder::new(),
             now: 0,
             fault: None,
-            loop_mode: LoopMode::FastForward,
+            #[cfg(any(test, feature = "reference"))]
+            never_park: false,
             active_sms: Vec::new(),
             ticked_sms: Vec::new(),
             run_cal,
@@ -261,7 +253,8 @@ impl<P: Probe> Gpu<P> {
             recorder: self.recorder,
             now: self.now,
             fault: self.fault,
-            loop_mode: self.loop_mode,
+            #[cfg(any(test, feature = "reference"))]
+            never_park: self.never_park,
             active_sms: self.active_sms,
             ticked_sms: self.ticked_sms,
             run_cal: self.run_cal,
@@ -295,10 +288,11 @@ impl<P: Probe> Gpu<P> {
     /// have produced for `(same config, clock_seed)` — in place, reusing
     /// every allocation (SM queues, fabric arenas, L2 sets, MSHR maps,
     /// calendars). Clears kernels, records, and all in-flight state;
-    /// redraws the clock epochs from `clock_seed`; detaches any fault
-    /// plan; and returns to [`LoopMode::FastForward`], exactly as a
-    /// fresh build does. The telemetry probe is **not** touched —
-    /// callers pooling probed machines reset or harvest it themselves.
+    /// redraws the clock epochs from `clock_seed`; and detaches any
+    /// fault plan (and, in test builds, the never-park reference drive),
+    /// exactly as a fresh build does. The telemetry probe is **not**
+    /// touched — callers pooling probed machines reset or harvest it
+    /// themselves.
     ///
     /// A reset machine is observationally identical to a fresh one: the
     /// `reset_reuse_is_bit_identical_to_fresh_build` fidelity test pins
@@ -316,7 +310,10 @@ impl<P: Probe> Gpu<P> {
         self.recorder.reset();
         self.now = 0;
         self.fault = None;
-        self.loop_mode = LoopMode::FastForward;
+        #[cfg(any(test, feature = "reference"))]
+        {
+            self.never_park = false;
+        }
         self.active_sms.clear();
         self.ticked_sms.clear();
         self.run_cal.reset();
@@ -410,16 +407,16 @@ impl<P: Probe> Gpu<P> {
         id
     }
 
-    /// Switches this instance's run-loop strategy (see [`LoopMode`]).
-    /// Both modes produce bit-identical traces; `Naive` exists as the
-    /// reference for the fidelity tests and for debugging.
-    pub fn set_loop_mode(&mut self, mode: LoopMode) {
-        self.loop_mode = mode;
-    }
-
-    /// The run-loop strategy this instance uses.
-    pub fn loop_mode(&self) -> LoopMode {
-        self.loop_mode
+    /// Drives this machine by the never-park reference policy: before
+    /// every cycle the run calendar is seeded afresh, exactly as a run
+    /// of one cycle starts (the lifecycle, each subnet with packets in
+    /// flight and every SM with resident blocks busy), so no component
+    /// stays parked and no cycle is jumped. The fidelity tests compare
+    /// the calendar engine against it. Compiled only for tests and
+    /// under the `reference` feature.
+    #[cfg(any(test, feature = "reference"))]
+    pub fn set_never_park(&mut self, on: bool) {
+        self.never_park = on;
     }
 
     /// Whether `kernel` has completed all blocks.
@@ -533,134 +530,45 @@ impl<P: Probe> Gpu<P> {
         placed
     }
 
-    /// Collects finished blocks from the active SMs; returns whether any
-    /// block retired (kernel lifecycles may have advanced and the
-    /// active-SM list was rebuilt).
+    /// Collects finished blocks from the SMs ticked this cycle into the
+    /// kernel ledgers; returns whether any block retired (kernel
+    /// lifecycles may have advanced and the active-SM list was rebuilt).
+    /// A block's done-ness changes only while its SM executes (every
+    /// reply delivery also wakes the SM into the same cycle's execute
+    /// phase), so un-ticked SMs hold no newly finished blocks.
     fn retire_blocks(&mut self) -> bool {
         let mut retired = false;
-        for i in 0..self.active_sms.len() {
-            let sm_idx = self.active_sms[i];
-            retired |= self.retire_blocks_of(sm_idx);
-        }
-        if retired {
-            self.rebuild_active_sms();
-        }
-        retired
-    }
-
-    /// [`retire_blocks`](Self::retire_blocks) over only the SMs ticked
-    /// this cycle. A block's done-ness changes only while its SM
-    /// executes (every reply delivery also wakes the SM into the same
-    /// cycle's execute phase), so un-ticked SMs provably hold no newly
-    /// finished blocks and the sweeps retire identically.
-    fn retire_blocks_ticked(&mut self) -> bool {
-        let mut retired = false;
-        let ticked = std::mem::take(&mut self.ticked_sms);
-        for &sm_idx in &ticked {
-            retired |= self.retire_blocks_of(sm_idx);
-        }
-        self.ticked_sms = ticked;
-        if retired {
-            self.rebuild_active_sms();
-        }
-        retired
-    }
-
-    /// Collects `sm_idx`'s finished blocks into the kernel ledgers;
-    /// returns whether any block retired.
-    fn retire_blocks_of(&mut self, sm_idx: usize) -> bool {
-        let mut retired = false;
-        for (kernel, block) in self.sms[sm_idx].take_finished_blocks() {
-            retired = true;
-            let k = &mut self.kernels[kernel.index()];
-            k.active_blocks -= 1;
-            k.finished_blocks += 1;
-            if let Some(span) = k
-                .span_index
-                .get(&block)
-                .map(|&i| &mut k.block_spans[i])
-                .filter(|s| s.finished_at.is_none())
-            {
-                span.finished_at = Some(self.now);
-            }
-            if k.finished_blocks == k.program.num_blocks() {
-                k.end_cycle = Some(self.now);
-            }
-        }
-        retired
-    }
-
-    /// Advances the GPU one core cycle.
-    ///
-    /// Components that provably tick to a no-op are skipped (active-set
-    /// tracking): SMs with no resident work, and subnets with nothing in
-    /// flight. The skips are unconditional because they are exact, fault
-    /// injection included — fault decisions are pure functions of
-    /// `(seed, site, window)`, so not evaluating them on idle components
-    /// cannot perturb any later draw.
-    pub fn tick(&mut self) {
-        let now = self.now;
-        // 0. Kernel lifecycle.
-        self.start_eligible_kernels();
-        self.place_blocks();
-        // 1. Deliver replies that arrived at the SMs. Replies only ever
-        // target warps with outstanding requests, whose blocks are still
-        // resident, so the fabric's busy set covers every destination.
-        if self.reply_fabric.in_flight() > 0 {
-            let Self {
-                reply_fabric,
-                sms,
-                probe,
-                ..
-            } = self;
-            reply_fabric.deliver_ready(now, |sm_idx, p| {
-                if P::ENABLED {
-                    probe.packet_delivered(now, sm_idx);
+        for &sm_idx in &self.ticked_sms {
+            for (kernel, block) in self.sms[sm_idx].take_finished_blocks() {
+                retired = true;
+                let k = &mut self.kernels[kernel.index()];
+                k.active_blocks -= 1;
+                k.finished_blocks += 1;
+                if let Some(span) = k
+                    .span_index
+                    .get(&block)
+                    .map(|&i| &mut k.block_spans[i])
+                    .filter(|s| s.finished_at.is_none())
+                {
+                    span.finished_at = Some(self.now);
                 }
-                sms[sm_idx].on_reply_probed(&p, now, probe);
-            });
+                if k.finished_blocks == k.program.num_blocks() {
+                    k.end_cycle = Some(self.now);
+                }
+            }
         }
-        // 2. SMs execute and enqueue requests.
-        for i in 0..self.active_sms.len() {
-            let sm_idx = self.active_sms[i];
-            self.sms[sm_idx].tick_probed(
-                now,
-                &self.clock,
-                &mut self.request_fabric,
-                &mut self.recorder,
-                &mut self.probe,
-            );
+        if retired {
+            self.rebuild_active_sms();
         }
-        // 3. Request subnet moves.
-        if self.request_fabric.in_flight() > 0 {
-            self.request_fabric.tick_probed(now, &mut self.probe);
-            // 4. Requests arriving at slices enter the L2 pipelines.
-            let Self {
-                request_fabric,
-                mem,
-                ..
-            } = self;
-            request_fabric.drain_arrivals(now, |p| mem.push_request(p, now));
-        }
-        // 5. Memory system advances.
-        self.mem.tick_probed(now, &mut self.probe);
-        // 6. Ready replies enter the reply subnet (with backpressure;
-        // per-destination virtual channels, so one congested GPC cannot
-        // head-of-line-block replies bound for the others).
-        self.mem
-            .drain_replies_probed(&mut self.reply_fabric, &mut self.probe);
-        // 7. Reply subnet moves.
-        if self.reply_fabric.in_flight() > 0 {
-            self.reply_fabric.tick_probed(now, &mut self.probe);
-        }
-        // 8. Retire finished blocks.
-        self.retire_blocks();
-        self.now += 1;
+        retired
     }
 
-    /// One engine cycle driven by the event calendar: identical phase
-    /// order to [`tick`](Self::tick), but each phase runs only when its
-    /// component is due. Due-ness is maintained by pushes —
+    /// Advances the GPU one core cycle. The phases run in a fixed order
+    /// — kernel lifecycle (start, placement), reply delivery, SM
+    /// execute, request subnet (and arrivals into L2), memory, reply
+    /// drain into the reply subnet, reply subnet, block retirement —
+    /// and each runs only when its component is due in `cal`. Due-ness
+    /// is maintained by pushes:
     ///
     /// * **Processing-time reschedules.** Every due component is
     ///   rescheduled from its fresh [`NextEvent`] report after its
@@ -668,23 +576,23 @@ impl<P: Probe> Gpu<P> {
     ///   was false.
     /// * **Same-cycle handoffs.** A phase that hands work to a *later*
     ///   phase of the same cycle marks the receiver due before its
-    ///   due-check runs: placement wakes the SMs, an SM injecting grows
-    ///   the request fabric's in-flight counter, the reply drain grows
-    ///   the reply fabric's.
+    ///   due-check runs: placement and delivery wake SMs, an SM
+    ///   injecting grows the request fabric's in-flight counter, the
+    ///   reply drain grows the reply fabric's.
     /// * **Cross-cycle notifies.** A phase that hands work *backwards*
-    ///   (delivery waking an SM already ticked? no — delivery runs
-    ///   first; retirement freeing SM room for the next placement)
-    ///   marks the receiver busy for the next cycle.
+    ///   — retirement freeing SM room or ending a stream predecessor —
+    ///   marks the receiver (the lifecycle) busy for the next cycle.
     ///
     /// Every skipped phase is provably a no-op — the component's own
-    /// claim, the same one the conservation asserts and the
-    /// `simulator_fidelity` equality tests guard — so the trace is
-    /// bit-identical to [`tick`](Self::tick). Fault injection needs no
+    /// claim, which the conservation asserts check and the
+    /// `simulator_fidelity` equality tests pin against the never-park
+    /// reference (this same step with everything re-seeded busy before
+    /// every cycle, see `set_never_park`). Fault injection needs no
     /// global override: fault decisions are pure functions of
     /// `(seed, site, window)`, components with pending work report
     /// `Busy` (re-evaluating their draws every cycle), and clock-wait
     /// wake estimates are clamped to [`ClockDomain::stable_until`].
-    fn tick_gated(&mut self, cal: &mut EventCalendar) {
+    fn step(&mut self, cal: &mut EventCalendar) {
         let now = self.now;
         // Promote arrived wake-ups into the busy set once: for the rest
         // of the cycle "due" and "busy" coincide, so the phases below
@@ -808,7 +716,7 @@ impl<P: Probe> Gpu<P> {
         // the scan. Retirement re-wakes the lifecycle (stream
         // successors, blocked placements) and parks SMs that just went
         // empty — their stale wake-ups must not keep the machine awake.
-        if sm_worked && self.retire_blocks_ticked() {
+        if sm_worked && self.retire_blocks() {
             cal.make_busy(LIFECYCLE);
             for (i, sm) in self.sms.iter().enumerate() {
                 if sm.resident_blocks() == 0 {
@@ -819,26 +727,28 @@ impl<P: Probe> Gpu<P> {
         self.now += 1;
     }
 
-    /// Runs for exactly `cycles` cycles.
+    /// Runs for exactly `cycles` cycles, whether or not the machine goes
+    /// idle on the way. Cycles in which nothing is due are jumped, as in
+    /// [`run_until_idle`](Self::run_until_idle).
     pub fn run_for(&mut self, cycles: Cycle) {
-        for _ in 0..cycles {
-            self.tick();
-        }
+        self.run(cycles, false);
     }
 
     /// Runs until every launched kernel has finished and all queues have
     /// drained, or until `max_cycles` more cycles have elapsed.
-    ///
-    /// In [`LoopMode::FastForward`] (the default) the run is driven by
-    /// an [`EventCalendar`]: components push their next wake-up on state
-    /// change, phases of a processed cycle run only for due components,
-    /// and when nothing is due the loop jumps straight to the earliest
-    /// scheduled wake-up — no polling, no detection lag. Every effectful
-    /// cycle is still processed in the exact phase order of
-    /// [`tick`](Self::tick), so traces, records, and final cycle counts
-    /// are bit-identical to [`LoopMode::Naive`].
     pub fn run_until_idle(&mut self, max_cycles: Cycle) -> RunOutcome {
-        let deadline = self.now + max_cycles;
+        self.run(max_cycles, true)
+    }
+
+    /// The run loop behind [`run_for`](Self::run_for) and
+    /// [`run_until_idle`](Self::run_until_idle): runs up to `cycles`
+    /// cycles, stopping early at idle when `stop_at_idle`. It is driven
+    /// by an [`EventCalendar`]: components push their next wake-up on
+    /// state change, [`step`](Self::step) runs the phases of due
+    /// components, and when nothing is due the loop jumps straight to
+    /// the earliest scheduled wake-up — no polling, no detection lag.
+    fn run(&mut self, cycles: Cycle, stop_at_idle: bool) -> RunOutcome {
+        let deadline = self.now + cycles;
         // Watchdog cadence: the supervisor's deadline/cancel check is an
         // atomic load behind a TLS lookup — cheap, but not free enough
         // for every cycle. Every 4096 loop iterations keeps the check in
@@ -846,44 +756,17 @@ impl<P: Probe> Gpu<P> {
         // can overshoot its deadline.
         const CHECKPOINT_MASK: u64 = 4096 - 1;
         let mut iterations: u64 = 0;
-        if self.loop_mode == LoopMode::Naive {
-            while self.now < deadline {
-                iterations += 1;
-                if iterations & CHECKPOINT_MASK == 0 {
-                    gnc_common::supervise::checkpoint();
-                }
-                if self.is_idle() {
-                    return RunOutcome::Idle { at: self.now };
-                }
-                self.tick();
-            }
-            return self.timeout_or_idle();
-        }
-        // The owned calendar is re-seeded per run (a handful of busy
-        // bits, no allocation), which keeps it correct across manual
-        // `tick()` calls and kernel launches between runs. Everything
-        // that currently holds state starts busy; quiescent components
-        // park themselves with their first reschedule. It is moved out
-        // for the duration because `tick_gated` needs it alongside
-        // `&mut self` (the sentinel left behind is allocation-free).
+        // The owned calendar is re-seeded per run, which keeps it
+        // correct across kernel launches between runs. It is moved out
+        // for the duration because `step` needs it alongside `&mut self`
+        // (the sentinel left behind is allocation-free).
         let mut cal = std::mem::replace(&mut self.run_cal, EventCalendar::new(0));
         if cal.num_components() != SM_BASE as usize + self.sms.len() {
             // A panic unwound past a previous run and the sentinel stuck
             // around; rebuild once rather than index out of bounds.
             cal = EventCalendar::new(SM_BASE as usize + self.sms.len());
         }
-        cal.reset();
-        cal.make_busy(LIFECYCLE);
-        if self.request_fabric.in_flight() > 0 {
-            cal.make_busy(REQ_FABRIC);
-        }
-        if self.reply_fabric.in_flight() > 0 {
-            cal.make_busy(REPLY_FABRIC);
-        }
-        cal.reschedule(MEM, self.mem.next_event());
-        for &sm_idx in &self.active_sms {
-            cal.make_busy(SM_BASE + sm_idx as ComponentId);
-        }
+        self.seed_calendar(&mut cal);
         let early = loop {
             if self.now >= deadline {
                 break None;
@@ -892,8 +775,14 @@ impl<P: Probe> Gpu<P> {
             if iterations & CHECKPOINT_MASK == 0 {
                 gnc_common::supervise::checkpoint();
             }
-            if self.is_idle() {
+            if stop_at_idle && self.is_idle() {
                 break Some(RunOutcome::Idle { at: self.now });
+            }
+            // The reference starts every cycle as a one-cycle run would;
+            // the busy lifecycle makes the wake below `Now`.
+            #[cfg(any(test, feature = "reference"))]
+            if self.never_park {
+                self.seed_calendar(&mut cal);
             }
             match cal.next_wake() {
                 // A busy component needs this very cycle.
@@ -911,18 +800,37 @@ impl<P: Probe> Gpu<P> {
                         self.now = at;
                     }
                 }
-                // Nothing will ever wake by itself: the remaining naive
-                // ticks are all no-ops, so burn them at once and time
-                // out at the deadline exactly as the naive loop would.
+                // Nothing will ever wake by itself: every remaining
+                // cycle is a no-op, so burn them at once.
                 Wake::Never => {
                     self.now = deadline;
                     break None;
                 }
             }
-            self.tick_gated(&mut cal);
+            self.step(&mut cal);
         };
         self.run_cal = cal;
         early.unwrap_or_else(|| self.timeout_or_idle())
+    }
+
+    /// Clears `cal` and marks busy everything that may hold work, as at
+    /// the start of every run: the lifecycle, each subnet with packets
+    /// in flight, and the SMs with resident blocks; the memory system is
+    /// scheduled from its own report. Quiescent components park
+    /// themselves with their first reschedule.
+    fn seed_calendar(&mut self, cal: &mut EventCalendar) {
+        cal.reset();
+        cal.make_busy(LIFECYCLE);
+        if self.request_fabric.in_flight() > 0 {
+            cal.make_busy(REQ_FABRIC);
+        }
+        if self.reply_fabric.in_flight() > 0 {
+            cal.make_busy(REPLY_FABRIC);
+        }
+        cal.reschedule(MEM, self.mem.next_event());
+        for &sm_idx in &self.active_sms {
+            cal.make_busy(SM_BASE + sm_idx as ComponentId);
+        }
     }
 
     /// The outcome of a run that reached its deadline. A run cut short
@@ -1092,8 +1000,8 @@ mod tests {
             }),
             StreamId::new(1),
         );
-        // Tick once so both kernels place before any block finishes.
-        gpu.tick();
+        // Run one cycle so both kernels place before any block finishes.
+        gpu.run_for(1);
         let sender_sms: Vec<usize> = gpu
             .block_spans(sender)
             .iter()
@@ -1186,7 +1094,7 @@ mod tests {
         gpu.preload_range(0, 40 * 48);
         let a = gpu.launch(mk(6), StreamId::new(0));
         let b = gpu.launch(mk(6), StreamId::new(1));
-        gpu.tick();
+        gpu.run_for(1);
         // Every placed block's TPC must be exclusive to one stream.
         let a_tpcs: std::collections::HashSet<usize> = gpu
             .block_spans(a)
@@ -1204,6 +1112,148 @@ mod tests {
             a_tpcs.intersection(&b_tpcs).collect::<Vec<_>>()
         );
         assert!(gpu.run_until_idle(200_000).is_idle());
+    }
+
+    /// Kernel whose warps align to a 512-cycle clock slot, then issue a
+    /// waited read batch and record its latency and the clock, `rounds`
+    /// times: the receiver's shape (§4.4).
+    struct SlotReader {
+        blocks: usize,
+        rounds: u32,
+    }
+
+    struct SlotReaderWarp {
+        rounds: u32,
+        stage: u8,
+        base: u64,
+    }
+
+    impl WarpProgram for SlotReaderWarp {
+        fn step(&mut self, ctx: &WarpContext) -> WarpStep {
+            self.stage = (self.stage + 1) % 4;
+            match self.stage {
+                1 if self.rounds == 0 => WarpStep::Finish,
+                1 => {
+                    self.rounds -= 1;
+                    WarpStep::UntilClock {
+                        mask: 511,
+                        target: (ctx.sm.index() as u32 * 37) & 511,
+                    }
+                }
+                2 => {
+                    self.base += 8 * 128;
+                    WarpStep::Memory {
+                        kind: AccessKind::Read,
+                        addrs: (0..8u64).map(|i| self.base + i * 128).collect(),
+                        wait: true,
+                    }
+                }
+                3 => WarpStep::Record {
+                    tag: 1,
+                    value: ctx.last_mem_latency,
+                },
+                _ => WarpStep::Record {
+                    tag: 2,
+                    value: u64::from(ctx.clock32),
+                },
+            }
+        }
+    }
+
+    impl crate::kernel::KernelProgram for SlotReader {
+        fn name(&self) -> &str {
+            "slot-reader"
+        }
+        fn num_blocks(&self) -> usize {
+            self.blocks
+        }
+        fn warps_per_block(&self) -> usize {
+            1
+        }
+        fn create_warp(&self, block: BlockId, _warp: WarpId) -> Box<dyn WarpProgram> {
+            Box::new(SlotReaderWarp {
+                rounds: self.rounds,
+                stage: 0,
+                base: 0x100000 * (block.index() as u64 + 1),
+            })
+        }
+    }
+
+    /// `run_for` jumps dead cycles and settles fault statistics where it
+    /// stops, yet a machine driven by `run_for` chunks of mixed sizes
+    /// and then `run_until_idle` must match the reference — the same
+    /// machine driven one cycle per run (and the never-park flag, which
+    /// must be that same drive) — in records, cycle counts, kernel and
+    /// block spans, and fault statistics. One chunk stops with replies
+    /// in flight and one runs on past the cycle the machine went idle.
+    #[test]
+    fn run_for_chunks_match_one_cycle_runs_under_faults() {
+        use crate::workloads::ComputeKernel;
+        use gnc_common::fault::{FaultConfig, FaultPlan};
+
+        #[derive(Clone, Copy, PartialEq)]
+        enum Drive {
+            Calendar,
+            NeverPark,
+            OneCycleRuns,
+        }
+        let run = |drive: Drive| {
+            let plan = FaultPlan::new(
+                FaultConfig::parse("severe@3,clock_glitch_rate=0.2").expect("spec parses"),
+            );
+            let mut gpu = Gpu::with_faults(GpuConfig::volta_v100(), 5, plan).expect("valid config");
+            gpu.set_never_park(drive == Drive::NeverPark);
+            let advance = |gpu: &mut Gpu, cycles: Cycle| {
+                if drive == Drive::OneCycleRuns {
+                    for _ in 0..cycles {
+                        gpu.run_for(1);
+                    }
+                } else {
+                    gpu.run_for(cycles);
+                }
+            };
+            let first = gpu.launch(
+                Box::new(SlotReader {
+                    blocks: 6,
+                    rounds: 4,
+                }),
+                StreamId::new(0),
+            );
+            gpu.launch(Box::new(ComputeKernel::new(4, 2, 700)), StreamId::new(1));
+            let mut replies_in_flight_at_a_stop = false;
+            for chunk in [1, 3, 150, 1, 40, 997, 64, 2_000] {
+                advance(&mut gpu, chunk);
+                replies_in_flight_at_a_stop |= gpu.reply_fabric.in_flight() > 0;
+            }
+            assert!(replies_in_flight_at_a_stop, "no chunk stopped mid-reply");
+            assert!(gpu.is_idle(), "the last chunk must run on past idle");
+            let second = gpu.launch(
+                Box::new(SlotReader {
+                    blocks: 3,
+                    rounds: 2,
+                }),
+                StreamId::new(0),
+            );
+            advance(&mut gpu, 700);
+            if drive == Drive::OneCycleRuns {
+                while !gpu.is_idle() {
+                    gpu.run_for(1);
+                }
+            } else {
+                assert!(gpu.run_until_idle(100_000).is_idle());
+            }
+            let stats = gpu.fault_plan().expect("plan attached").stats();
+            (
+                gpu.recorder().records().to_vec(),
+                gpu.now(),
+                [first, second].map(|k| (gpu.kernel_span(k), gpu.block_spans(k).to_vec())),
+                stats,
+            )
+        };
+        let calendar = run(Drive::Calendar);
+        assert!(calendar.3.noc_burst_cycles > 0 && calendar.3.glitched_clock_reads > 0);
+        assert_eq!(calendar, run(Drive::NeverPark), "never-park drive diverges");
+        assert_eq!(calendar, run(Drive::OneCycleRuns), "one-cycle runs diverge");
     }
 
     #[test]

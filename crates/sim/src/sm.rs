@@ -415,6 +415,7 @@ impl Sm {
         }
         // Issue phase: every ready warp takes (at most) one costed step.
         if self.ready_warps > 0 {
+            clock.note_read(self.id, now);
             for bi in 0..self.blocks.len() {
                 for wi in 0..self.blocks[bi].warps.len() {
                     if self.blocks[bi].warps[wi].state != WarpState::Ready {

@@ -99,7 +99,7 @@ fn colocation_recipe_works_on_all_presets() {
         };
         let trojan = gpu.launch(mk(), StreamId::new(0));
         let spy = gpu.launch(mk(), StreamId::new(1));
-        gpu.tick();
+        gpu.run_for(1);
         let trojan_sms: Vec<usize> = gpu
             .block_spans(trojan)
             .iter()
@@ -152,31 +152,31 @@ fn full_occupancy_excludes_third_kernels() {
     assert!(victim_start.is_some(), "victim eventually runs");
 }
 
-/// The cycle-loop fast path (active-set skipping + `next_event`
-/// fast-forward) must be invisible: a full covert transmission replayed
-/// under `LoopMode::Naive` and `LoopMode::FastForward` has to produce
+/// The cycle-loop fast path (active-set skipping + calendar jumps) must
+/// be invisible: a full covert transmission replayed on the never-park
+/// reference (every component due every cycle, see
+/// `Gpu::set_never_park`) and on the event calendar has to produce
 /// identical latency traces, recorder contents, and final cycle counts.
 #[test]
 fn fast_forward_is_bit_identical_to_naive_loop() {
     use gpu_noc_covert::common::bits::BitVec;
     use gpu_noc_covert::covert::channel::ChannelPlan;
     use gpu_noc_covert::covert::protocol::ProtocolConfig;
-    use gpu_noc_covert::sim::LoopMode;
 
     let cfg = GpuConfig::volta_v100();
     let plan = ChannelPlan::tpc(&cfg, ProtocolConfig::tpc(2), &[0]);
     let payload = BitVec::from_bytes(b"ok");
 
-    let run = |mode: LoopMode| {
+    let run = |never_park: bool| {
         let mut gpu = Gpu::with_clock_seed(cfg.clone(), 7).unwrap();
-        gpu.set_loop_mode(mode);
+        gpu.set_never_park(never_park);
         let report = plan.transmit_on(&mut gpu, &payload, 7);
         let records: Vec<_> = gpu.recorder().records().to_vec();
         (report, records, gpu.now())
     };
 
-    let (naive_report, naive_records, naive_now) = run(LoopMode::Naive);
-    let (fast_report, fast_records, fast_now) = run(LoopMode::FastForward);
+    let (naive_report, naive_records, naive_now) = run(true);
+    let (fast_report, fast_records, fast_now) = run(false);
 
     assert_eq!(naive_now, fast_now, "final cycle counts diverge");
     assert_eq!(naive_records, fast_records, "recorder contents diverge");
@@ -194,52 +194,68 @@ fn fast_forward_is_bit_identical_to_naive_loop() {
 /// The fast-forward loop must stay exact under fault injection too:
 /// fault decisions are pure functions of `(seed, site, window)`, so
 /// skipping idle cycles cannot perturb which faults fire on the packets
-/// that do flow. A transmission under a moderate fault plan replayed in
-/// both loop modes has to agree bit for bit.
+/// that do flow. A transmission replayed on the reference and on the
+/// calendar has to agree bit for bit, fault statistics included — once
+/// under a moderate plan that lets it finish, and once under a jammed
+/// plan whose cycle budget stops it with replies in flight, where the
+/// ejection ports settle their burst cycles at the deadline.
 #[test]
 fn fast_forward_is_bit_identical_under_faults() {
     use gpu_noc_covert::common::bits::BitVec;
     use gpu_noc_covert::common::fault::{FaultConfig, FaultPlan};
     use gpu_noc_covert::covert::channel::ChannelPlan;
     use gpu_noc_covert::covert::protocol::ProtocolConfig;
-    use gpu_noc_covert::sim::LoopMode;
 
     let cfg = GpuConfig::volta_v100();
     let plan = ChannelPlan::tpc(&cfg, ProtocolConfig::tpc(2), &[0]);
     let payload = BitVec::from_bytes(b"ok");
 
-    let run = |mode: LoopMode| {
-        let faults = FaultPlan::new(FaultConfig::moderate().with_seed(11));
-        let mut gpu = Gpu::with_faults(cfg.clone(), 7, faults).unwrap();
-        gpu.set_loop_mode(mode);
-        let report = plan.transmit_on(&mut gpu, &payload, 7);
-        let records: Vec<_> = gpu.recorder().records().to_vec();
-        (report, records, gpu.now())
-    };
+    for (faults, stopped_at_budget) in [
+        (FaultConfig::moderate().with_seed(11), false),
+        (FaultConfig::jammed().with_seed(11), true),
+    ] {
+        let run = |never_park: bool| {
+            let mut gpu = Gpu::with_faults(cfg.clone(), 7, FaultPlan::new(faults.clone())).unwrap();
+            gpu.set_never_park(never_park);
+            let report = plan.transmit_on(&mut gpu, &payload, 7);
+            let records: Vec<_> = gpu.recorder().records().to_vec();
+            let stats = gpu.fault_plan().expect("plan attached").stats();
+            (report, records, gpu.now(), stats, gpu.is_idle())
+        };
 
-    let (naive_report, naive_records, naive_now) = run(LoopMode::Naive);
-    let (fast_report, fast_records, fast_now) = run(LoopMode::FastForward);
+        let (naive_report, naive_records, naive_now, naive_stats, naive_idle) = run(true);
+        let (fast_report, fast_records, fast_now, fast_stats, fast_idle) = run(false);
 
-    assert_eq!(naive_now, fast_now, "final cycle counts diverge");
-    assert_eq!(naive_records, fast_records, "recorder contents diverge");
-    assert_eq!(
-        naive_report.received, fast_report.received,
-        "decoded payloads diverge"
-    );
-    assert_eq!(
-        naive_report.elapsed_cycles, fast_report.elapsed_cycles,
-        "latency traces diverge"
-    );
-    assert_eq!(naive_report.errors, fast_report.errors);
+        assert_eq!(
+            !naive_idle,
+            stopped_at_budget,
+            "the reference run must stop {} its budget",
+            if stopped_at_budget { "at" } else { "before" }
+        );
+        assert_eq!(naive_idle, fast_idle, "run outcomes diverge");
+        assert_eq!(naive_now, fast_now, "final cycle counts diverge");
+        assert_eq!(naive_records, fast_records, "recorder contents diverge");
+        assert_eq!(
+            naive_report.received, fast_report.received,
+            "decoded payloads diverge"
+        );
+        assert_eq!(
+            naive_report.elapsed_cycles, fast_report.elapsed_cycles,
+            "latency traces diverge"
+        );
+        assert_eq!(naive_report.errors, fast_report.errors);
+        assert_eq!(naive_stats, fast_stats, "fault statistics diverge");
+    }
 }
 
-/// The event-calendar engine must agree with the naive loop for *every*
+/// The event-calendar engine must agree with the reference for *every*
 /// seed, not just the one the fixed-seed tests pin: clock seeds shift
 /// every SM's local clock phase, and fault seeds move which packets the
 /// injected faults hit, so each seed exercises a different interleaving
 /// of calendar wake-ups. Runs the full stack — faults on, telemetry
 /// collector attached — and demands bit-identical recorder contents,
-/// final cycle counts, decoded payloads, and telemetry reports.
+/// final cycle counts, decoded payloads, telemetry reports, and fault
+/// statistics.
 #[test]
 fn calendar_matches_naive_across_seeds_with_faults_and_telemetry() {
     use gpu_noc_covert::common::bits::BitVec;
@@ -247,29 +263,29 @@ fn calendar_matches_naive_across_seeds_with_faults_and_telemetry() {
     use gpu_noc_covert::common::telemetry::Collector;
     use gpu_noc_covert::covert::channel::ChannelPlan;
     use gpu_noc_covert::covert::protocol::ProtocolConfig;
-    use gpu_noc_covert::sim::LoopMode;
 
     let cfg = GpuConfig::volta_v100();
     let plan = ChannelPlan::tpc(&cfg, ProtocolConfig::tpc(2), &[0]);
     let payload = BitVec::from_bytes(b"ok");
 
     for seed in [1u64, 5, 9] {
-        let run = |mode: LoopMode| {
+        let run = |never_park: bool| {
             let faults = FaultPlan::new(FaultConfig::moderate().with_seed(seed ^ 0xA5));
             let mut gpu = Gpu::with_faults(cfg.clone(), seed, faults)
                 .unwrap()
                 .with_probe(Collector::for_config(&cfg));
-            gpu.set_loop_mode(mode);
+            gpu.set_never_park(never_park);
             let report = plan.transmit_on(&mut gpu, &payload, seed);
             let records: Vec<_> = gpu.recorder().records().to_vec();
             let now = gpu.now();
+            let stats = gpu.fault_plan().expect("plan attached").stats();
             let telemetry = serde_json::to_string(&gpu.into_probe().report())
                 .expect("telemetry report serializes");
-            (report, records, now, telemetry)
+            (report, records, now, telemetry, stats)
         };
 
-        let (n_report, n_records, n_now, n_telemetry) = run(LoopMode::Naive);
-        let (f_report, f_records, f_now, f_telemetry) = run(LoopMode::FastForward);
+        let (n_report, n_records, n_now, n_telemetry, n_stats) = run(true);
+        let (f_report, f_records, f_now, f_telemetry, f_stats) = run(false);
 
         assert_eq!(n_now, f_now, "seed {seed}: final cycle counts diverge");
         assert_eq!(
@@ -289,6 +305,7 @@ fn calendar_matches_naive_across_seeds_with_faults_and_telemetry() {
             n_telemetry, f_telemetry,
             "seed {seed}: telemetry reports diverge"
         );
+        assert_eq!(n_stats, f_stats, "seed {seed}: fault statistics diverge");
     }
 }
 
